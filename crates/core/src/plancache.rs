@@ -114,9 +114,6 @@ struct Key {
     db_epoch: u64,
     /// Effective optimizer level.
     opt_enabled: bool,
-    /// Whether pipeline fusion is enabled — fused and unfused emissions
-    /// are different programs and must never share a cache entry.
-    fuse: bool,
     /// Effective parallel configuration (threads, min-rows, morsel rows).
     par: (usize, Option<usize>, usize),
 }
@@ -220,7 +217,6 @@ impl PlanCache {
             db_id: cat.db().id(),
             db_epoch: cat.db().epoch(),
             opt_enabled: level.enabled(),
-            fuse: monet::fuse::fuse_enabled(),
             par: monet::par::config_key(),
         };
         if let Some((plan, cached)) = self.lookup(&key) {
@@ -655,13 +651,8 @@ mod tests {
         monet::par::with_threads(3, || {
             let _ = cache.translate(&cat, &q(1.0), OptLevel::Full).unwrap();
         });
-        // Different fusion setting: distinct entry. Flip relative to the
-        // ambient value so the test holds under the FLATALG_FUSE=0 leg too.
-        monet::fuse::with_fuse(!monet::fuse::fuse_enabled(), || {
-            let _ = cache.translate(&cat, &q(1.0), OptLevel::Full).unwrap();
-        });
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (0, 4));
+        assert_eq!((s.hits, s.misses), (0, 3));
     }
 
     #[test]

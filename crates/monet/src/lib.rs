@@ -63,7 +63,6 @@ pub mod ctx;
 pub mod db;
 pub mod enc;
 pub mod error;
-pub mod fuse;
 pub mod gov;
 pub mod mil;
 pub mod ops;

@@ -70,52 +70,6 @@ pub enum MilOp {
     TopN { src: Var, n: usize, desc: bool },
     /// Fresh dense oid tail, synced with the operand.
     Mark(Var),
-    /// A fused operator pipeline built by the optimizer's `fuse` pass: one
-    /// pass over `src`, applying `stages` morsel-at-a-time with no
-    /// intermediate BATs. Never emitted by the translator; only the `fuse`
-    /// pass creates these, and only for chains it proved equivalent to the
-    /// staged execution (bit-identical results, same morsel grid).
-    Fused { src: Var, stages: Vec<FuseStage> },
-}
-
-/// One stage of a fused pipeline ([`MilOp::Fused`]): the chain value flows
-/// source → stage 0 → stage 1 → …, each stage consuming its predecessor's
-/// per-morsel output in place of a materialized intermediate.
-#[derive(Debug, Clone)]
-pub enum FuseStage {
-    /// Point selection on the chain tail (from [`MilOp::SelectEq`]).
-    SelectEq(AtomValue),
-    /// Range selection on the chain tail (from [`MilOp::SelectRange`]).
-    SelectRange { lo: Option<AtomValue>, hi: Option<AtomValue>, inc_lo: bool, inc_hi: bool },
-    /// Multiplexed scalar function over the chain tail and side columns
-    /// (from [`MilOp::Multiplex`]).
-    Map { f: ScalarFunc, args: Vec<FuseArg> },
-    /// Terminal whole-column scalar aggregate (from [`MilOp::AggrScalar`]).
-    Aggr(AggFunc),
-}
-
-impl FuseStage {
-    /// Governor probe site executed once per morsel per stage.
-    pub fn probe_site(&self) -> &'static str {
-        match self {
-            FuseStage::SelectEq(_) | FuseStage::SelectRange { .. } => crate::gov::site::FUSE_SELECT,
-            FuseStage::Map { .. } => crate::gov::site::FUSE_MULTIPLEX,
-            FuseStage::Aggr(_) => crate::gov::site::FUSE_AGGR,
-        }
-    }
-}
-
-/// An argument of a fused [`FuseStage::Map`] stage.
-#[derive(Debug, Clone)]
-pub enum FuseArg {
-    /// The chain value flowing through the pipeline.
-    Chain,
-    /// A side variable; the fused executor requires it row-synced with the
-    /// pipeline source (checked at run time, falling back to staged
-    /// execution otherwise).
-    Var(Var),
-    /// A broadcast constant.
-    Const(AtomValue),
 }
 
 /// An algorithm pinned onto a statement by the plan optimizer (Section 5.1:
@@ -205,19 +159,6 @@ impl MilOp {
                     MilArg::Const(_) => None,
                 })
                 .collect(),
-            MilOp::Fused { src, stages } => {
-                let mut vs = vec![*src];
-                for stage in stages {
-                    if let FuseStage::Map { args, .. } = stage {
-                        for a in args {
-                            if let FuseArg::Var(v) = a {
-                                vs.push(*v);
-                            }
-                        }
-                    }
-                }
-                vs
-            }
         }
     }
 
@@ -256,18 +197,6 @@ impl MilOp {
                     }
                 }
             }
-            MilOp::Fused { src, stages } => {
-                f(src);
-                for stage in stages {
-                    if let FuseStage::Map { args, .. } = stage {
-                        for a in args {
-                            if let FuseArg::Var(v) = a {
-                                f(v);
-                            }
-                        }
-                    }
-                }
-            }
         }
     }
 
@@ -303,7 +232,6 @@ impl MilOp {
             MilOp::SortHead(_) => "sort_head".into(),
             MilOp::TopN { .. } => "topn".into(),
             MilOp::Mark(_) => "mark".into(),
-            MilOp::Fused { .. } => "fused".into(),
         }
     }
 }

@@ -15,7 +15,7 @@ use crate::db::Db;
 use crate::error::{MonetError, Result};
 use crate::ops;
 
-use super::ast::{FuseArg, FuseStage, MilArg, MilOp, MilProgram, Var};
+use super::ast::{MilArg, MilOp, MilProgram, Var};
 
 /// A MIL variable's value: a BAT or a scalar.
 #[derive(Debug, Clone)]
@@ -288,45 +288,6 @@ fn eval_op(ctx: &ExecCtx, db: &Db, env: &[Option<MilValue>], op: &MilOp) -> Resu
                 });
             }
             MilValue::Bat(ops::multiplex(ctx, *f, &margs)?)
-        }
-        MilOp::Fused { src, stages } => {
-            let mut fstages = Vec::with_capacity(stages.len());
-            for s in stages {
-                fstages.push(match s {
-                    FuseStage::SelectEq(v) => ops::fused::Stage::SelectEq(v.clone()),
-                    FuseStage::SelectRange { lo, hi, inc_lo, inc_hi } => {
-                        ops::fused::Stage::SelectRange {
-                            lo: lo.clone(),
-                            hi: hi.clone(),
-                            inc_lo: *inc_lo,
-                            inc_hi: *inc_hi,
-                        }
-                    }
-                    FuseStage::Map { f, args } => {
-                        let mut fargs = Vec::with_capacity(args.len());
-                        for a in args {
-                            fargs.push(match a {
-                                FuseArg::Chain => ops::fused::FArg::Chain,
-                                FuseArg::Var(v) => {
-                                    match env.get(*v).and_then(|x| x.as_ref()).ok_or_else(|| {
-                                        MonetError::UnknownName(format!("mil var {v}"))
-                                    })? {
-                                        MilValue::Bat(b) => ops::fused::FArg::Side(b.clone()),
-                                        MilValue::Scalar(s) => ops::fused::FArg::Const(s.clone()),
-                                    }
-                                }
-                                FuseArg::Const(v) => ops::fused::FArg::Const(v.clone()),
-                            });
-                        }
-                        ops::fused::Stage::Map { f: *f, args: fargs }
-                    }
-                    FuseStage::Aggr(f) => ops::fused::Stage::Aggr(*f),
-                });
-            }
-            match ops::fused::run_fused(ctx, bat(*src)?, &fstages)? {
-                ops::fused::FusedOut::Bat(b) => MilValue::Bat(b),
-                ops::fused::FusedOut::Scalar(v) => MilValue::Scalar(v),
-            }
         }
         MilOp::SetAgg { f, src } => MilValue::Bat(ops::set_aggregate(ctx, *f, bat(*src)?)?),
         MilOp::AggrScalar { f, src } => MilValue::Scalar(ops::aggr_scalar(ctx, bat(*src)?, *f)?),

@@ -29,7 +29,7 @@ use crate::db::Db;
 use crate::ops;
 use crate::props::{ColProps, Props};
 
-use super::super::ast::{FuseArg, FuseStage, MilArg, MilOp, MilProgram, Var};
+use super::super::ast::{MilArg, MilOp, MilProgram, Var};
 
 /// Statically known facts about one BAT-valued variable.
 #[derive(Debug, Clone, Copy)]
@@ -315,52 +315,6 @@ fn shape_of(op: &MilOp, shapes: &[Option<Shape>], db: &Db) -> Option<Shape> {
                 props: Props::new(s.props.head, ColProps::DENSE),
                 may_dv: false,
             }
-        }
-        MilOp::Fused { src, stages } => {
-            // Replay the per-stage rules the unfused statements would have
-            // received, so a fused chain claims exactly what its staged
-            // equivalent would (the fuse pass builds chains *from* already
-            // inferred statements, so this only re-derives).
-            let mut cur = sh(*src)?;
-            for stage in stages {
-                cur = match stage {
-                    FuseStage::SelectEq(_) => Shape {
-                        props: ops::select::propagated_props(cur.props, true),
-                        may_dv: false,
-                        ..cur
-                    },
-                    FuseStage::SelectRange { .. } => Shape {
-                        props: ops::select::propagated_props(cur.props, false),
-                        may_dv: false,
-                        ..cur
-                    },
-                    FuseStage::Map { args, .. } => {
-                        let first = args.iter().find_map(|a| match a {
-                            FuseArg::Chain => Some(cur),
-                            FuseArg::Var(v) => sh(*v),
-                            FuseArg::Const(_) => None,
-                        })?;
-                        Shape {
-                            head: first.head,
-                            tail: None,
-                            props: Props::new(
-                                ColProps {
-                                    sorted: first.props.head.sorted,
-                                    key: first.props.head.key,
-                                    dense: false,
-                                    ..ColProps::NONE
-                                },
-                                ColProps::NONE,
-                            ),
-                            may_dv: false,
-                        }
-                    }
-                    // Terminal scalar aggregate: the fused variable is
-                    // scalar-valued, like `AggrScalar`.
-                    FuseStage::Aggr(_) => return None,
-                };
-            }
-            cur
         }
     })
 }

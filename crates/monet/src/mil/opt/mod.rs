@@ -36,7 +36,6 @@
 mod cse;
 mod dce;
 mod fold;
-mod fuse;
 mod infer;
 mod pin;
 mod pushdown;
@@ -303,30 +302,6 @@ pub fn optimize(prog: MilProgram, roots: &[Var], db: &Db) -> OptOutcome {
         }
     }
     report.pins = pin::run(&mut prog, db);
-    // Pipeline fusion runs last (gated by FLATALG_FUSE): it consumes the
-    // final statement shapes *and* the pins — a binary-search-pinned select
-    // stays staged, and pins on fused-away statements dissolve with them.
-    if crate::fuse::fuse_enabled() {
-        let cx = PassCtx { db, roots: roots.clone() };
-        let pass = fuse::Fuse;
-        let eff = pass.run(&mut prog, &cx);
-        if let Some(m) = &eff.remap {
-            for slot in remap.iter_mut() {
-                *slot = slot.and_then(|v| m[v]);
-            }
-            for r in roots.iter_mut() {
-                *r = m[*r].expect("fuse pass eliminated a root variable");
-            }
-        }
-        if eff.applied > 0 {
-            report.deltas.push(PassDelta {
-                pass: pass.name(),
-                round: report.rounds,
-                applied: eff.applied,
-                stmts_after: prog.len(),
-            });
-        }
-    }
     report.stmts_after = prog.len();
     CUMULATIVE.with(|c| {
         let (b, a) = c.get();

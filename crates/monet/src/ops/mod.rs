@@ -16,7 +16,6 @@
 //! oracle of the specialized-vs-generic property suite.
 
 pub mod aggregate;
-pub mod fused;
 pub mod group;
 pub mod join;
 pub mod multiplex;

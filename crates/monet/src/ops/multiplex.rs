@@ -250,11 +250,9 @@ pub fn multiplex(ctx: &ExecCtx, f: ScalarFunc, args: &[MultArg]) -> Result<Bat> 
 /// One synced multiplex argument reduced to what the typed fast path
 /// needs: the tail column (owned, cheaply `Arc`-cloned) or a broadcast
 /// constant. Owning the columns lets the morsel executor hand each worker
-/// a zero-copy slice of every argument. `pub(crate)` so the fused-pipeline
-/// executor ([`crate::mil`]) can feed per-morsel windows through the same
-/// kernels.
+/// a zero-copy slice of every argument.
 #[derive(Clone)]
-pub(crate) enum TailArg {
+enum TailArg {
     Col(Column),
     Const(AtomValue),
 }
@@ -401,56 +399,6 @@ pub(crate) fn result_type_hint(f: ScalarFunc, args: &[MultArg]) -> AtomType {
             .find_map(|a| match a {
                 MultArg::Bat(b) => Some(b.tail().atom_type()),
                 MultArg::Const(v) => Some(v.atom_type()),
-            })
-            .unwrap_or(AtomType::Dbl),
-    }
-}
-
-/// Evaluate one multiplex window directly to its tail column: the typed
-/// fast path when the shape qualifies, otherwise the generic row-at-a-time
-/// loop. This is the per-morsel map kernel of the fused-pipeline executor
-/// — the same code paths `mux_synced` takes, so fused and staged execution
-/// produce the same bits.
-pub(crate) fn eval_tail_window(f: ScalarFunc, args: &[TailArg], n: usize) -> Result<Column> {
-    if let Some(col) = typed_fast_path(f, args, n)? {
-        return Ok(col);
-    }
-    let mut out: Vec<AtomValue> = Vec::with_capacity(n);
-    let mut scratch: Vec<AtomValue> = Vec::with_capacity(args.len());
-    for i in 0..n {
-        scratch.clear();
-        for a in args {
-            scratch.push(match a {
-                TailArg::Col(c) => c.get(i),
-                TailArg::Const(v) => v.clone(),
-            });
-        }
-        out.push(apply_scalar(f, &scratch)?);
-    }
-    let ty = out.first().map(AtomValue::atom_type).unwrap_or_else(|| tail_type_hint(f, args));
-    Ok(Column::from_atoms(ty, out))
-}
-
-/// [`result_type_hint`], over window arguments.
-fn tail_type_hint(f: ScalarFunc, args: &[TailArg]) -> AtomType {
-    match f {
-        ScalarFunc::Eq
-        | ScalarFunc::Ne
-        | ScalarFunc::Lt
-        | ScalarFunc::Le
-        | ScalarFunc::Gt
-        | ScalarFunc::Ge
-        | ScalarFunc::And
-        | ScalarFunc::Or
-        | ScalarFunc::Not
-        | ScalarFunc::StrPrefix
-        | ScalarFunc::StrContains => AtomType::Bool,
-        ScalarFunc::Year | ScalarFunc::Month => AtomType::Int,
-        _ => args
-            .iter()
-            .find_map(|a| match a {
-                TailArg::Col(c) => Some(c.atom_type()),
-                TailArg::Const(v) => Some(v.atom_type()),
             })
             .unwrap_or(AtomType::Dbl),
     }

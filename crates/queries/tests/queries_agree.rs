@@ -141,43 +141,6 @@ fn all_fifteen_queries_bit_identical_with_optimizer_on_and_off() {
 }
 
 #[test]
-fn all_fifteen_queries_bit_identical_fused_and_unfused() {
-    // Pipeline fusion must be invisible in results: every query, executed
-    // with fused pipelines, produces rows *bit-equal* (eps 0.0 — fusion
-    // admits no float re-association) to the unfused emission
-    // (`FLATALG_FUSE=0` oracle), serial and threaded.
-    let w = bench_world();
-    for q in all_queries() {
-        for threads in [1usize, 4] {
-            let ctx = ExecCtx::new();
-            let run = |fuse: bool| {
-                monet::fuse::with_fuse(fuse, || {
-                    monet::par::with_par_config(Some(threads), Some(1024), Some(4099), || {
-                        (q.run_moa)(&w.cat, &ctx, &w.params)
-                    })
-                })
-                .unwrap_or_else(|e| {
-                    panic!("Q{} (fuse={fuse}, {threads} threads) failed: {e}", q.id)
-                })
-            };
-            let fused = run(true);
-            let unfused = run(false);
-            assert!(
-                fused.approx_eq(&unfused, 0.0),
-                "Q{} at {threads} threads: fused pipelines differ from unfused ({}):\n\
-                 fused ({} rows):\n{}\nunfused ({} rows):\n{}",
-                q.id,
-                q.comment,
-                fused.len(),
-                fused.clone().sorted().preview(12),
-                unfused.len(),
-                unfused.clone().sorted().preview(12),
-            );
-        }
-    }
-}
-
-#[test]
 fn all_fifteen_queries_bit_identical_encoded_vs_raw_layouts() {
     // Encoded column layouts must be invisible in results: every query,
     // run against the default world (dict/FOR/RLE columns built at load

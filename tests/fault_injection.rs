@@ -328,117 +328,3 @@ fn memory_budget_aborts_that_query_only_and_lifting_recovers() {
         });
     });
 }
-
-/// Fused-pipeline governance: a fused chain probes per morsel at each of
-/// its stage sites (`fuse/select`, `fuse/multiplex`, `fuse/aggr`) — every
-/// one of those points must abort cleanly when a fault fires there, the
-/// same context must retry bit-identically, and the abort paths must
-/// return every scratch buffer (the RLE-dbl window path and the staged
-/// replay both borrow from the process-wide pool).
-#[test]
-fn injected_faults_on_fused_pipelines_abort_cleanly_and_return_scratch() {
-    use std::time::{Duration, Instant};
-
-    use monet::atom::AtomValue;
-    use monet::ctx::ExecCtx;
-    use monet::gov::site;
-    use monet::ops::fused::{run_fused, FArg, FusedOut, Stage};
-    use monet::ops::{AggFunc, ScalarFunc};
-    use monet::typed;
-
-    let n = 4000usize;
-    // RLE-dbl source (a run-length ramp): the fused window path decodes
-    // per morsel and must not leak scratch on any abort.
-    let dbl =
-        monet::column::Column::from_dbls((0..n).map(|i| (i / 250) as f64).collect()).encode(true);
-    assert_eq!(
-        dbl.encoding(),
-        monet::props::Enc::Rle,
-        "fixture must be RLE-encoded — otherwise this sweeps the raw window path",
-    );
-    let rle = monet::bat::Bat::new(monet::column::Column::from_oids((0..n as u64).collect()), dbl);
-    let ints = monet::bat::Bat::new(
-        monet::column::Column::from_oids((0..n as u64).collect()),
-        monet::column::Column::from_ints((0..n).map(|i| (i as i32) % 97 - 48).collect()),
-    );
-    // Float sum in an unfiltered chain; integer select -> map -> max.
-    let sum_chain: Vec<Stage> = vec![
-        Stage::Map {
-            f: ScalarFunc::Mul,
-            args: vec![FArg::Chain, FArg::Const(AtomValue::Dbl(2.0))],
-        },
-        Stage::Aggr(AggFunc::Sum),
-    ];
-    let filt_chain: Vec<Stage> = vec![
-        Stage::SelectRange {
-            lo: Some(AtomValue::Int(-10)),
-            hi: Some(AtomValue::Int(30)),
-            inc_lo: true,
-            inc_hi: false,
-        },
-        Stage::Map { f: ScalarFunc::Add, args: vec![FArg::Chain, FArg::Const(AtomValue::Int(7))] },
-        Stage::Aggr(AggFunc::Max),
-    ];
-    let run = |ctx: &ExecCtx| -> monet::error::Result<(AtomValue, AtomValue)> {
-        let scalar = |o| match o {
-            FusedOut::Scalar(v) => v,
-            FusedOut::Bat(_) => panic!("aggregate-terminated chain must yield a scalar"),
-        };
-        let a = scalar(run_fused(ctx, &rle, &sum_chain)?);
-        let b = scalar(run_fused(ctx, &ints, &filt_chain)?);
-        Ok((a, b))
-    };
-
-    let baseline = typed::scratch_checked_out();
-    let (oracle, n_probes) = {
-        let ctx = ExecCtx::new();
-        let r = governed(|| run(&ctx)).unwrap();
-        (r, ctx.gov.probes())
-    };
-    assert!(n_probes > 0, "fused chains exposed no governed points");
-
-    // Each fused stage site must actually fire: arm per-site (not "*") so
-    // a silently-skipped probe fails loudly here instead of shrinking the
-    // wildcard sweep below.
-    for fused_site in [site::FUSE_SELECT, site::FUSE_MULTIPLEX, site::FUSE_AGGR] {
-        let ctx = ExecCtx::new();
-        ctx.gov.arm_fault(fused_site, 1);
-        match governed(|| run(&ctx)) {
-            Err(MonetError::Injected { site: s, .. }) => {
-                assert_eq!(s, fused_site, "fault fired at the wrong site")
-            }
-            other => panic!("{fused_site}: expected injected fault, got {other:?}"),
-        }
-        let retry = governed(|| run(&ctx)).unwrap();
-        assert_eq!(retry, oracle, "{fused_site}: retry diverged from oracle");
-    }
-
-    // Wildcard sweep over every governed point of both chains.
-    for k in 1..=n_probes {
-        let ctx = ExecCtx::new();
-        ctx.gov.arm_fault("*", k);
-        match governed(|| run(&ctx)) {
-            Err(MonetError::Injected { hit, .. }) => {
-                assert_eq!(hit, k, "fault fired at the wrong probe")
-            }
-            other => panic!("k={k}/{n_probes}: expected injected fault, got {other:?}"),
-        }
-        let retry = governed(|| run(&ctx)).unwrap();
-        assert_eq!(retry, oracle, "k={k}/{n_probes}: retry diverged from oracle");
-    }
-
-    // Concurrent tests hold checkouts transiently; poll for quiescence. A
-    // real abort-path leak never settles back to the baseline.
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        let now = typed::scratch_checked_out();
-        if now <= baseline {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "fused-pipeline aborts leaked scratch: baseline {baseline}, now {now}"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
-}

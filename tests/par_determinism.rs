@@ -619,141 +619,3 @@ fn par_kernels_bit_identical_on_default_morsel_grid() {
         assert_eq!(rows_of(&got), rows_of(&ser_u), "t={t}: unique");
     }
 }
-
-// ---------------------------------------------------------------------------
-// fused pipelines: a select -> map -> (aggr) chain executed in one pass
-// over the source must be bit-identical to the same chain run through the
-// staged kernels, at every thread count. Chains below respect the
-// planner's admission rules (float sums only in unfiltered chains).
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, PartialEq)]
-enum FusedOutcome {
-    Rows(Vec<(AtomValue, AtomValue)>),
-    Scalar(AtomValue),
-    Fail(String),
-}
-
-fn fused_outcome(r: Result<ops::fused::FusedOut, monet::error::MonetError>) -> FusedOutcome {
-    match r {
-        Ok(ops::fused::FusedOut::Bat(b)) => FusedOutcome::Rows(rows_of(&b)),
-        Ok(ops::fused::FusedOut::Scalar(v)) => FusedOutcome::Scalar(v),
-        Err(e) => FusedOutcome::Fail(e.to_string()),
-    }
-}
-
-/// The chain through the ordinary staged kernels — the unfused oracle.
-fn staged_outcome(ctx: &ExecCtx, src: &Bat, stages: &[ops::fused::Stage]) -> FusedOutcome {
-    use ops::fused::{FArg, Stage};
-    let mut cur = src.clone();
-    for stage in stages {
-        let next = match stage {
-            Stage::SelectEq(v) => ops::select_eq(ctx, &cur, v),
-            Stage::SelectRange { lo, hi, inc_lo, inc_hi } => {
-                ops::select_range(ctx, &cur, lo.as_ref(), hi.as_ref(), *inc_lo, *inc_hi)
-            }
-            Stage::Map { f, args } => {
-                let margs: Vec<ops::MultArg> = args
-                    .iter()
-                    .map(|a| match a {
-                        FArg::Chain => ops::MultArg::Bat(cur.clone()),
-                        FArg::Side(b) => ops::MultArg::Bat(b.clone()),
-                        FArg::Const(v) => ops::MultArg::Const(v.clone()),
-                    })
-                    .collect();
-                ops::multiplex(ctx, *f, &margs)
-            }
-            Stage::Aggr(f) => {
-                return match ops::aggr_scalar(ctx, &cur, *f) {
-                    Ok(v) => FusedOutcome::Scalar(v),
-                    Err(e) => FusedOutcome::Fail(e.to_string()),
-                };
-            }
-        };
-        match next {
-            Ok(b) => cur = b,
-            Err(e) => return FusedOutcome::Fail(e.to_string()),
-        }
-    }
-    FusedOutcome::Rows(rows_of(&cur))
-}
-
-#[test]
-fn par_fused_pipeline_bit_identical() {
-    use ops::fused::{run_fused, FArg, Stage};
-    use ops::{AggFunc, ScalarFunc as F};
-    let mut rng = StdRng::seed_from_u64(SEED ^ 10);
-    let ctx = ExecCtx::new();
-    for &ty in &[AtomType::Int, AtomType::Lng, AtomType::Dbl] {
-        for case in 0..4 {
-            let n = rng.gen_range(0..400usize);
-            let src =
-                Bat::new(random_column(&mut rng, AtomType::Oid, n), random_column(&mut rng, ty, n));
-            let v = random_value(&mut rng, ty);
-            let (a2, c2) = (random_value(&mut rng, ty), random_value(&mut rng, ty));
-            let (lo, hi) = if a2.cmp_same_type(&c2).is_le() { (a2, c2) } else { (c2, a2) };
-            let range =
-                Stage::SelectRange { lo: Some(lo), hi: Some(hi), inc_lo: true, inc_hi: false };
-            let mul3 = Stage::Map { f: F::Mul, args: vec![FArg::Chain, FArg::Const(v.clone())] };
-            let sub_side =
-                Stage::Map { f: F::Sub, args: vec![FArg::Chain, FArg::Side(src.clone())] };
-            let mut chains: Vec<Vec<Stage>> = vec![
-                // filtered map (BAT terminal)
-                vec![range.clone(), mul3.clone()],
-                // unfiltered map chain with a synced side, float-safe sum
-                vec![mul3.clone(), sub_side.clone(), Stage::Aggr(AggFunc::Sum)],
-                vec![mul3.clone(), Stage::Aggr(AggFunc::Avg)],
-                // filtered exact aggregates (regrouping-invariant)
-                vec![Stage::SelectEq(v.clone()), Stage::Aggr(AggFunc::Count)],
-                vec![range.clone(), Stage::Aggr(AggFunc::Min)],
-                vec![range.clone(), Stage::Aggr(AggFunc::Max)],
-            ];
-            if ty != AtomType::Dbl {
-                // Integer sums may regroup across a filter.
-                chains.push(vec![range.clone(), Stage::Aggr(AggFunc::Sum)]);
-            }
-            for (ci, stages) in chains.iter().enumerate() {
-                let oracle = serial(|| staged_outcome(&ctx, &src, stages));
-                let ser = serial(|| fused_outcome(run_fused(&ctx, &src, stages)));
-                assert_eq!(ser, oracle, "{ty} case {case} chain {ci}: fused vs staged");
-                for t in THREADS {
-                    let got = parallel(t, || fused_outcome(run_fused(&ctx, &src, stages)));
-                    assert_eq!(got, ser, "{ty} case {case} chain {ci} t={t}: fused vs serial");
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn par_fused_dict_select_bit_identical() {
-    // Dict-encoded source tails take the per-morsel code-range path; it
-    // must match the staged dict-code kernel at every thread count.
-    use ops::fused::{run_fused, FArg, Stage};
-    use ops::{AggFunc, ScalarFunc as F};
-    let mut rng = StdRng::seed_from_u64(SEED ^ 11);
-    let ctx = ExecCtx::new();
-    for case in 0..3 {
-        let n = rng.gen_range(150..400usize);
-        let (enc, _raw) = encoded_pair(&mut rng, AtomType::Str, n, false);
-        let src = Bat::new(Column::from_oids((0..n as u64).collect()), enc);
-        let v = encodable_value(&mut rng, AtomType::Str);
-        let chains: Vec<Vec<Stage>> = vec![
-            vec![
-                Stage::SelectRange { lo: Some(v.clone()), hi: None, inc_lo: false, inc_hi: true },
-                Stage::Map { f: F::Eq, args: vec![FArg::Chain, FArg::Const(v.clone())] },
-            ],
-            vec![Stage::SelectEq(v.clone()), Stage::Aggr(AggFunc::Count)],
-            vec![Stage::SelectEq(v.clone()), Stage::Aggr(AggFunc::Min)],
-        ];
-        for (ci, stages) in chains.iter().enumerate() {
-            let oracle = serial(|| staged_outcome(&ctx, &src, stages));
-            let ser = serial(|| fused_outcome(run_fused(&ctx, &src, stages)));
-            assert_eq!(ser, oracle, "dict case {case} chain {ci}: fused vs staged");
-            for t in THREADS {
-                let got = parallel(t, || fused_outcome(run_fused(&ctx, &src, stages)));
-                assert_eq!(got, ser, "dict case {case} chain {ci} t={t}: fused vs serial");
-            }
-        }
-    }
-}
