@@ -21,6 +21,7 @@ use monet::bat::Bat;
 use monet::column::Column;
 use monet::ctx::ExecCtx;
 use monet::ops;
+use monet::props::{ColProps, Props};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -280,6 +281,20 @@ fn main() {
         Bat::new(extent.oids().gather(&perm), dv_vals.gather(&perm))
     };
     with_dv.set_datavector(Arc::new(dv));
+    // Dense-extent paths: Q9's `join(lmap, Item_<attr>)` (an oid map into
+    // the extent, in scattered order, against the tail-sorted `with_dv`)
+    // and Q1's `semijoin(Item, select(...))` (the dense class extent
+    // against the unsorted oids a select on `with_dv`'s tail returns).
+    let dv_left = Bat::new(
+        head.clone(),
+        Column::from_oids((0..n as u64).map(|i| 1000 + (i * 7919) % n as u64).collect()),
+    );
+    let dense_class = Bat::with_props(
+        extent.oids().clone(),
+        Column::void(0, n),
+        Props::new(ColProps::DENSE, ColProps::DENSE),
+    );
+    let dense_sel = Bat::new(with_dv.head().slice(0, n / 20), Column::void(0, n / 20));
 
     // --- group_aggregate group inputs ------------------------------------
     let unsorted_keys = Bat::new(
@@ -388,6 +403,12 @@ fn main() {
     // semijoin group: warm datavector path (LOOKUP memoized once)
     recs.push(measure(base.as_ref(), "semijoin/datavector-warm", sel.len(), || {
         ops::semijoin(&ctx, &with_dv, &sel).unwrap();
+    }));
+    recs.push(measure(base.as_ref(), "semijoin/dense", n, || {
+        ops::semijoin(&ctx, &dense_class, &dense_sel).unwrap();
+    }));
+    recs.push(measure(base.as_ref(), "join/fetch-datavector", n, || {
+        ops::join(&ctx, &dv_left, &with_dv).unwrap();
     }));
 
     // group_aggregate group

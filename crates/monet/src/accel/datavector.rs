@@ -18,6 +18,16 @@
 //! so subsequent semijoins of *any* attribute with the same selection skip
 //! the lookup: "the previous datavector-semijoin has already blazed the
 //! trail into the extent".
+//!
+//! LOOKUP implementations:
+//!
+//! * positional — the extent is a dense oid range (a void column, or a
+//!   materialized one whose `last - first + 1 == len`, which for a sorted
+//!   key column means no gaps): position is `oid - first`;
+//! * binary search — the general sorted extent with gaps.
+//!
+//! A dense extent also lets `ops::join` fetch through the value vector
+//! positionally instead of hashing the tail-sorted attribute BAT.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -49,6 +59,8 @@ pub struct Lookup {
 #[derive(Debug)]
 pub struct Extent {
     oids: Column,
+    /// First oid when the extent is a gap-free range, else `None`.
+    dense_seq: Option<Oid>,
     lookup_memo: Mutex<HashMap<ColumnIdentity, Lookup>>,
 }
 
@@ -58,12 +70,26 @@ impl Extent {
         assert!(oids.is_oidlike(), "extent must hold oids");
         debug_assert!(oids.check_sorted(), "extent must be sorted");
         debug_assert!(oids.check_key(), "extent must be duplicate-free");
-        Arc::new(Extent { oids, lookup_memo: Mutex::new(HashMap::new()) })
+        // Sorted and key, so `last - first + 1 == len` rules out gaps.
+        let dense_seq = oids.void_seq().or_else(|| {
+            let n = oids.len();
+            if n == 0 {
+                return None;
+            }
+            let first = oids.oid_at(0);
+            (oids.oid_at(n - 1).checked_sub(first) == Some(n as Oid - 1)).then_some(first)
+        });
+        Arc::new(Extent { oids, dense_seq, lookup_memo: Mutex::new(HashMap::new()) })
     }
 
     /// The extent column.
     pub fn oids(&self) -> &Column {
         &self.oids
+    }
+
+    /// First oid of a dense extent: `oids()[i] == seq + i` for every `i`.
+    pub fn dense_seq(&self) -> Option<Oid> {
+        self.dense_seq
     }
 
     pub fn len(&self) -> usize {
@@ -90,7 +116,7 @@ impl Extent {
             return hit.clone();
         }
         let pgr = ctx.pager.as_deref();
-        let out: Vec<u32> = if let Some(seq) = self.oids.void_seq() {
+        let out: Vec<u32> = if let Some(seq) = self.dense_seq {
             // Dense extent: direct positional computation, one typed
             // dispatch over the probe column.
             let n = self.oids.len() as Oid;
@@ -103,6 +129,11 @@ impl Extent {
                     }
                     let o = rh.value(i);
                     if o >= seq && o < seq + n {
+                        // No search touches the extent here; the gather
+                        // below reads it at the found position.
+                        if let Some(p) = pgr {
+                            pager::touch_fetch(p, &self.oids, (o - seq) as usize);
+                        }
                         out.push((o - seq) as u32);
                     }
                 }
@@ -269,6 +300,41 @@ mod tests {
         let probe = Column::from_oids(vec![50, 59, 60, 49]);
         let l = dv.lookup(&ctx, &probe);
         assert_eq!(&*l.positions, &vec![0, 9]);
+    }
+
+    #[test]
+    fn materialized_dense_extent_is_positional() {
+        let ctx = ExecCtx::new();
+        let dense = Extent::new(Column::from_oids((50..60).collect()));
+        assert_eq!(dense.dense_seq(), Some(50));
+        assert_eq!(Extent::new(Column::void(50, 10)).dense_seq(), Some(50));
+        assert_eq!(Extent::new(Column::from_oids(vec![])).dense_seq(), None);
+        let probe = Column::from_oids(vec![59, 49, 50, 60, 55]);
+        let l = dense.lookup(&ctx, &probe);
+        assert_eq!(&*l.positions, &vec![9, 0, 5]);
+        assert_eq!(l.head.as_oid_slice().unwrap(), &[59, 50, 55]);
+    }
+
+    #[test]
+    fn gapped_extent_keeps_binary_search() {
+        let ctx = ExecCtx::new();
+        // Five sorted oids spanning 10..=20: `20 - 10 + 1 != 5`, so gaps.
+        let gapped = Extent::new(Column::from_oids(vec![10, 11, 13, 14, 20]));
+        assert_eq!(gapped.dense_seq(), None);
+        let l = gapped.lookup(&ctx, &Column::from_oids(vec![20, 12, 10, 14, 9, 21, 13]));
+        assert_eq!(&*l.positions, &vec![4, 0, 3, 2]);
+    }
+
+    #[test]
+    fn positional_lookup_faults_on_the_extent_pages_it_reads() {
+        // 1024 oids = two 4 KiB pages; probing both ends reads both.
+        let extent = Extent::new(Column::from_oids((0..1024).collect()));
+        assert!(extent.dense_seq().is_some());
+        let pager = Arc::new(pager::Pager::new(4096));
+        let ctx = ExecCtx::new().with_pager(Arc::clone(&pager));
+        extent.lookup(&ctx, &Column::from_oids(vec![0, 1023]));
+        // One page of the probe column plus the two extent pages.
+        assert_eq!(pager.faults(), 3);
     }
 
     #[test]

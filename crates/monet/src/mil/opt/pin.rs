@@ -24,7 +24,10 @@
 //!   fetch branch is *type-impossible* (a join column is known non-oid-
 //!   like). Without that fence a right head that turns out dense at run
 //!   time would make dispatch prefer fetch, whose full-match head sharing
-//!   differs observably from merge's gather.
+//!   differs observably from merge's gather. The fence also covers
+//!   dispatch's second fetch branch, through a right operand's datavector
+//!   over a dense extent: that branch needs an oid-like left tail, and a
+//!   join column known to be non-oid-like rules it out.
 
 use crate::db::Db;
 

@@ -4,7 +4,11 @@
 //! in the binary model (Section 4.2). Implementations, picked dynamically:
 //!
 //! * `fetch` — the right head is a dense (void) sequence: pure positional
-//!   array lookup;
+//!   array lookup. The same kernel serves a right operand carrying a
+//!   datavector over a dense extent (a tail-sorted attribute BAT): it
+//!   fetches positionally through the oid-ordered value vector. An
+//!   attribute head is key, so the hash join it replaces also emits at
+//!   most one match per left BUN, in left order;
 //! * `merge` — left tail and right head sorted: linear merge with
 //!   duplicate-group cross products;
 //! * `hash` — general fallback, building (or reusing) a hash table on the
@@ -12,8 +16,10 @@
 
 use std::time::Instant;
 
+use crate::accel::datavector::Datavector;
 use crate::atom::Oid;
 use crate::bat::Bat;
+use crate::column::Column;
 use crate::ctx::ExecCtx;
 use crate::error::Result;
 use crate::pager;
@@ -30,7 +36,9 @@ pub fn join(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     let faults0 = ctx.faults();
     let dense_right = cd.props().head.dense && cd.head().is_oidlike();
     let (result, algo) = if dense_right && ab.tail().is_oidlike() {
-        (join_fetch(ctx, ab, cd), "fetch")
+        (join_fetch(ctx, ab, cd, dense_seq(cd), cd.tail()), "fetch")
+    } else if let Some((seq, dv)) = dense_datavector(ab, cd) {
+        (join_fetch(ctx, ab, cd, seq, dv.vector()), "fetch")
     } else if ab.props().tail.sorted && cd.props().head.sorted {
         (join_merge(ctx, ab, cd), "merge")
     } else if cd.accel().head_hash.is_none()
@@ -135,13 +143,32 @@ pub fn join_theta(ctx: &ExecCtx, ab: &Bat, cd: &Bat, theta: crate::ops::ScalarFu
     Ok(result)
 }
 
-/// Positional fetch join against a dense right head.
-fn join_fetch(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
+/// First oid of a dense right head.
+fn dense_seq(cd: &Bat) -> Oid {
+    if cd.is_empty() {
+        0
+    } else {
+        cd.head().oid_at(0)
+    }
+}
+
+/// `cd`'s datavector when it can stand in for a dense right head: its
+/// extent is gap-free, it holds every BUN of `cd`, and the left tail is
+/// oid-like.
+fn dense_datavector<'a>(ab: &Bat, cd: &'a Bat) -> Option<(Oid, &'a Datavector)> {
+    let dv = cd.accel().datavector.as_deref()?;
+    let seq = dv.extent().dense_seq()?;
+    (dv.len() == cd.len() && ab.tail().is_oidlike()).then_some((seq, dv))
+}
+
+/// Positional fetch join: `values[i]` is the right tail of oid `seq + i`.
+/// `values` is `cd`'s tail under a dense head, or the value vector of its
+/// datavector.
+fn join_fetch(ctx: &ExecCtx, ab: &Bat, cd: &Bat, seq: Oid, values: &Column) -> Bat {
     if let Some(p) = ctx.pager.as_deref() {
         pager::touch_scan(p, ab.tail());
     }
-    let seq: Oid = if cd.is_empty() { 0 } else { cd.head().oid_at(0) };
-    let n = cd.len() as Oid;
+    let n = values.len() as Oid;
     let (left_idx, right_idx) = crate::for_each_oidlike!(ab.tail(), |bt| {
         let mut left_idx: Vec<u32> = Vec::with_capacity(ab.len());
         let mut right_idx: Vec<u32> = Vec::with_capacity(ab.len());
@@ -156,14 +183,14 @@ fn join_fetch(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
     });
     if let Some(p) = ctx.pager.as_deref() {
         for &r in &right_idx {
-            pager::touch_fetch(p, cd.tail(), r as usize);
+            pager::touch_fetch(p, values, r as usize);
         }
     }
     // 100% match: the head column can be *shared* with the left operand,
     // keeping the result synced with AB (and any other full-match joins).
     let full = left_idx.len() == ab.len();
     let head = if full { ab.head().clone() } else { ab.head().gather(&left_idx) };
-    let tail = cd.tail().gather(&right_idx);
+    let tail = values.gather(&right_idx);
     let p = ab.props();
     let props = Props::new(
         ColProps {
@@ -654,7 +681,7 @@ pub fn join_fetch_pinned(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     );
     let started = Instant::now();
     let faults0 = ctx.faults();
-    let result = join_fetch(ctx, ab, cd);
+    let result = join_fetch(ctx, ab, cd, dense_seq(cd), cd.tail());
     ctx.record("join", "fetch", started, faults0, &result)?;
     Ok(result)
 }
@@ -691,7 +718,6 @@ fn build_join(ctx: &ExecCtx, ab: &Bat, cd: &Bat, li: &[u32], ri: &[u32]) -> Bat 
 mod tests {
     use super::*;
     use crate::atom::AtomValue;
-    use crate::column::Column;
 
     fn item_order() -> Bat {
         // [item_oid, order_oid]
@@ -732,6 +758,60 @@ mod tests {
         assert_eq!(r.head().as_oid_slice().unwrap(), &[100, 102, 103]);
         assert_eq!(r.tail().as_int_slice().unwrap(), &[70, 70, 60]);
         assert!(!r.synced(&io));
+    }
+
+    /// `[item, price]` reordered on the price, as the loader leaves an
+    /// attribute BAT: the head is no longer dense, but a datavector over
+    /// the extent `extent` keeps the oid-ordered prices.
+    fn tail_sorted_attribute(extent: Column, prices: Vec<i32>) -> Bat {
+        let vector = Column::from_ints(prices);
+        let perm = vector.sort_perm();
+        let mut bat = Bat::with_inferred_props(extent.gather(&perm), vector.gather(&perm));
+        let extent = crate::accel::datavector::Extent::new(extent);
+        bat.set_datavector(std::sync::Arc::new(Datavector::new(extent, vector)));
+        bat
+    }
+
+    #[test]
+    fn datavector_fetch_join_full_match_shares_the_left_head() {
+        let ctx = ExecCtx::new().with_trace();
+        let price = tail_sorted_attribute(Column::from_oids(vec![5, 6, 7]), vec![70, 50, 60]);
+        assert!(!price.props().head.dense);
+        let io = item_order();
+        let r = join(&ctx, &io, &price).unwrap();
+        assert_eq!(ctx.take_trace()[0].algo, "fetch");
+        assert_eq!(r.head().as_oid_slice().unwrap(), &[100, 101, 102, 103]);
+        assert_eq!(r.tail().as_int_slice().unwrap(), &[60, 70, 60, 50]);
+        assert!(r.synced(&io));
+        let h = join_hash(&ctx, &io, &price);
+        assert_eq!(r.iter().collect::<Vec<_>>(), h.iter().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn datavector_fetch_join_partial_and_out_of_range() {
+        let ctx = ExecCtx::new().with_trace();
+        let price = tail_sorted_attribute(Column::from_oids(vec![6, 7]), vec![70, 60]);
+        let left = Bat::new(
+            Column::from_oids(vec![1, 2, 3, 4, 5]),
+            Column::from_oids(vec![7, 5, 6, 8, u64::MAX]),
+        );
+        let r = join(&ctx, &left, &price).unwrap();
+        assert_eq!(ctx.take_trace()[0].algo, "fetch");
+        assert_eq!(r.head().as_oid_slice().unwrap(), &[1, 3]);
+        assert_eq!(r.tail().as_int_slice().unwrap(), &[60, 70]);
+        assert!(!r.synced(&left));
+        let empty = left.slice(0, 0);
+        assert_eq!(join(&ctx, &empty, &price).unwrap().len(), 0);
+        assert_eq!(ctx.take_trace()[0].algo, "fetch");
+    }
+
+    #[test]
+    fn gapped_datavector_extent_still_hashes() {
+        let ctx = ExecCtx::new().with_trace();
+        let price = tail_sorted_attribute(Column::from_oids(vec![5, 7, 8]), vec![70, 50, 60]);
+        let r = join(&ctx, &item_order(), &price).unwrap();
+        assert_eq!(ctx.take_trace()[0].algo, "hash");
+        assert_eq!(r.tail().as_int_slice().unwrap(), &[50, 70, 50]);
     }
 
     #[test]

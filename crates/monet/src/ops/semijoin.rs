@@ -11,6 +11,9 @@
 //! * `datavector` — the left operand carries a datavector and the right
 //!   head is a (duplicate-free) oid selection: positional fetch through the
 //!   memoized LOOKUP array;
+//! * `dense` — the left head is a dense oid range (a class extent): mark
+//!   the right oids in a bitmap over that range, then take the marked
+//!   positions in ascending order — the same left-order output as `hash`;
 //! * `hash` — the general fallback.
 
 use std::time::Instant;
@@ -37,6 +40,8 @@ pub fn semijoin(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     } else if ab.accel().datavector.is_some() && cd.head().is_oidlike() && cd.props().head.key {
         let dv = ab.accel().datavector.clone().unwrap();
         (semijoin_datavector(ctx, &dv, cd), "datavector")
+    } else if ab.props().head.dense && ab.head().is_oidlike() && cd.head().is_oidlike() {
+        (semijoin_dense(ctx, ab, cd), "dense")
     } else {
         (semijoin_hash(ctx, ab, cd), "hash")
     };
@@ -107,6 +112,45 @@ fn semijoin_datavector(ctx: &ExecCtx, dv: &crate::accel::datavector::Datavector,
         ColProps::NONE,
     );
     Bat::with_props(lookup.head.clone(), tail, props)
+}
+
+/// Dense-left semijoin: the left head is `seq..seq + n`, so a bitmap over
+/// left positions records which of them some right oid hits. Duplicate
+/// and out-of-range right oids need no special case.
+fn semijoin_dense(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
+    if let Some(p) = ctx.pager.as_deref() {
+        pager::touch_scan(p, cd.head());
+    }
+    let n = ab.len();
+    let seq = if n == 0 { 0 } else { ab.head().oid_at(0) };
+    let mut bits = crate::typed::take_u64_zeroed(n.div_ceil(64));
+    crate::for_each_oidlike!(cd.head(), |ch| {
+        for j in 0..ch.len() {
+            let pos = ch.value(j).wrapping_sub(seq);
+            if pos < n as u64 {
+                bits[(pos / 64) as usize] |= 1 << (pos % 64);
+            }
+        }
+    });
+    let mut idx = crate::typed::take_u32(cd.len().min(n));
+    for (w, &word) in bits.iter().enumerate() {
+        let mut word = word;
+        while word != 0 {
+            idx.push((w * 64) as u32 + word.trailing_zeros());
+            word &= word - 1;
+        }
+    }
+    crate::typed::put_u64(bits);
+    if let Some(p) = ctx.pager.as_deref() {
+        // `build_subset` touches the tail; the head is read at the same
+        // positions instead of scanned.
+        for &i in &idx {
+            pager::touch_fetch(p, ab.head(), i as usize);
+        }
+    }
+    let out = build_subset(ctx, ab, &idx);
+    crate::typed::put_u32(idx);
+    out
 }
 
 /// Hash semijoin: hash the right heads, scan the left operand in order.
@@ -282,6 +326,49 @@ mod tests {
         // The key effect of Section 6.2.1: results of successive datavector
         // semijoins with the same selection are synced.
         assert!(prices.synced(&discounts));
+    }
+
+    /// `extent[oid, int]` with a dense materialized head `100..100 + n`.
+    fn dense_class(n: usize) -> Bat {
+        Bat::with_props(
+            Column::from_oids((100..100 + n as u64).collect()),
+            Column::from_ints((0..n as i32).map(|i| i * 10).collect()),
+            Props::new(ColProps::DENSE, ColProps::NONE),
+        )
+    }
+
+    #[test]
+    fn dense_semijoin_marks_right_oids_in_left_order() {
+        let ctx = ExecCtx::new().with_trace();
+        let ab = dense_class(130);
+        // Unsorted, with duplicates and oids on both sides of the range.
+        let cd = Bat::new(
+            Column::from_oids(vec![229, 105, 99, 164, 105, 230, 100, 0, u64::MAX, 164]),
+            Column::void(0, 10),
+        );
+        let checked_out = crate::typed::scratch_checked_out();
+        let r = semijoin(&ctx, &ab, &cd).unwrap();
+        assert_eq!(crate::typed::scratch_checked_out(), checked_out);
+        assert_eq!(ctx.take_trace()[0].algo, "dense");
+        assert_eq!(r.head().as_oid_slice().unwrap(), &[100, 105, 164, 229]);
+        assert_eq!(r.tail().as_int_slice().unwrap(), &[0, 50, 640, 1290]);
+        let h = semijoin_hash(&ctx, &ab, &cd);
+        assert_eq!(r.iter().collect::<Vec<_>>(), h.iter().collect::<Vec<_>>());
+        assert_eq!(r.props(), h.props());
+    }
+
+    #[test]
+    fn dense_semijoin_empty_operands() {
+        let ctx = ExecCtx::new().with_trace();
+        // No sortedness claims on the right, so `merge` cannot fire.
+        let right = |oids: Vec<u64>| {
+            let n = oids.len();
+            Bat::new(Column::from_oids(oids), Column::void(0, n))
+        };
+        assert_eq!(semijoin(&ctx, &dense_class(5), &right(vec![])).unwrap().len(), 0);
+        assert_eq!(semijoin(&ctx, &dense_class(0), &right(vec![3, 1])).unwrap().len(), 0);
+        let algos: Vec<_> = ctx.take_trace().iter().map(|t| t.algo).collect();
+        assert_eq!(algos, ["dense", "dense"]);
     }
 
     #[test]

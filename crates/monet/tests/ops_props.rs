@@ -1090,3 +1090,148 @@ fn rle_dbl_aggregates_avoid_full_decode_and_match_raw() {
         }
     }
 }
+
+// ======================================================================
+// Dense class extents: datavector fetch joins and bitmap semijoins.
+// ======================================================================
+
+use std::sync::Arc;
+
+use monet::accel::datavector::{Datavector, Extent};
+use monet::props::{ColProps, Props};
+
+/// The dense extent `seq..seq + n`, void or materialized at random.
+fn dense_extent(rng: &mut StdRng, seq: u64, n: usize) -> Column {
+    if rng.gen_bool(0.5) {
+        Column::void(seq, n)
+    } else {
+        Column::from_oids((seq..seq + n as u64).collect())
+    }
+}
+
+/// An attribute BAT as the loader leaves it: reordered on its tail (so its
+/// head is not dense), with a datavector holding the oid-ordered `vector`
+/// over the dense extent starting at `seq`.
+fn attribute_with_datavector(rng: &mut StdRng, seq: u64, vector: Column) -> Bat {
+    let extent = dense_extent(rng, seq, vector.len());
+    let perm = vector.sort_perm();
+    let mut bat = Bat::new(extent.gather(&perm), vector.gather(&perm));
+    assert!(!bat.props().head.dense);
+    bat.set_datavector(Arc::new(Datavector::new(Extent::new(extent), vector)));
+    bat
+}
+
+/// `[oid, oid]` with `n` tails drawn from `lo..hi` (duplicates, and misses
+/// on both sides of an extent inside that range).
+fn oid_map(rng: &mut StdRng, n: usize, lo: u64, hi: u64) -> Bat {
+    Bat::new(
+        random_column(rng, AtomType::Oid, n),
+        Column::from_oids((0..n).map(|_| rng.gen_range(lo..hi)).collect()),
+    )
+}
+
+#[test]
+fn datavector_fetch_join_matches_reference() {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x30);
+    let ctx = ExecCtx::new().with_trace();
+    for &ty in ALL_TYPES {
+        for case in 0..8 {
+            let m = rng.gen_range(1..30usize);
+            let seq = rng.gen_range(0..20u64);
+            let vector = random_column(&mut rng, ty, m);
+            let attr = attribute_with_datavector(&mut rng, seq, vector);
+            let n = rng.gen_range(0..40usize);
+            let left = oid_map(&mut rng, n, seq.saturating_sub(3), seq + m as u64 + 3);
+            let got = ops::join(&ctx, &left, &attr).unwrap();
+            assert_eq!(ctx.take_trace()[0].algo, "fetch", "{ty} case {case}");
+            assert_eq!(
+                rows_of(&got),
+                rows_of(&reference::join(&left, &attr)),
+                "{ty} case {case}: partial match"
+            );
+            // Full match: the result shares the left head.
+            let full = oid_map(&mut rng, n, seq, seq + m as u64);
+            let got = ops::join(&ctx, &full, &attr).unwrap();
+            assert_eq!(ctx.take_trace()[0].algo, "fetch", "{ty} case {case}");
+            assert_eq!(rows_of(&got), rows_of(&reference::join(&full, &attr)), "{ty} case {case}");
+            assert!(got.synced(&full), "{ty} case {case}: full match must share the left head");
+            assert!(got.validate().is_ok(), "{ty} case {case}: claimed props unsound");
+        }
+    }
+    // Empty operands on either side.
+    let attr = attribute_with_datavector(&mut rng, 7, Column::from_ints(vec![]));
+    let left = oid_map(&mut rng, 5, 0, 20);
+    assert_eq!(ops::join(&ctx, &left, &attr).unwrap().len(), 0);
+    let attr = attribute_with_datavector(&mut rng, 7, Column::from_ints(vec![3, 1]));
+    assert_eq!(ops::join(&ctx, &left.slice(0, 0), &attr).unwrap().len(), 0);
+}
+
+#[test]
+fn datavector_fetch_join_over_encoded_vectors_matches_raw() {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x31);
+    let ctx = ExecCtx::new().with_trace();
+    // Dict strings and FOR ints/lngs/dates as the value vector.
+    for ty in [AtomType::Str, AtomType::Int, AtomType::Lng, AtomType::Date] {
+        for case in 0..6 {
+            let m = rng.gen_range(24..64usize);
+            let seq = rng.gen_range(0..20u64);
+            let (ev, rv) = encoded_pair(&mut rng, ty, m, false);
+            let enc = attribute_with_datavector(&mut rng, seq, ev);
+            let raw = attribute_with_datavector(&mut rng, seq, rv);
+            let n = rng.gen_range(0..80);
+            let left = oid_map(&mut rng, n, seq.saturating_sub(3), seq + 70);
+            let g = ops::join(&ctx, &left, &enc).unwrap();
+            let e = ops::join(&ctx, &left, &raw).unwrap();
+            let algos: Vec<_> = ctx.take_trace().iter().map(|t| t.algo).collect();
+            assert_eq!(algos, ["fetch", "fetch"], "{ty} case {case}");
+            assert_eq!(rows_of(&g), rows_of(&e), "{ty} case {case}: encoded vs raw");
+            assert_eq!(rows_of(&e), rows_of(&reference::join(&left, &raw)), "{ty} case {case}");
+        }
+    }
+}
+
+#[test]
+fn dense_semijoin_matches_reference() {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x32);
+    let ctx = ExecCtx::new().with_trace();
+    for &ty in ALL_TYPES {
+        for case in 0..8 {
+            let n = rng.gen_range(0..50usize);
+            let seq = rng.gen_range(0..20u64);
+            let head = dense_extent(&mut rng, seq, n);
+            let ab = Bat::with_props(
+                head,
+                random_column(&mut rng, ty, n),
+                Props::new(ColProps::DENSE, ColProps::NONE),
+            );
+            // No order claims on the right, so neither `merge` nor `sync`
+            // applies; duplicates and out-of-range oids on both sides.
+            let m = rng.gen_range(0..30);
+            let cd = oid_map(&mut rng, m, seq.saturating_sub(5), seq + n as u64 + 5).mirror();
+            let got = ops::semijoin(&ctx, &ab, &cd).unwrap();
+            assert_eq!(ctx.take_trace()[0].algo, "dense", "{ty} case {case}");
+            assert_eq!(
+                rows_of(&got),
+                rows_of(&reference::semijoin(&ab, &cd)),
+                "{ty} case {case}: semijoin dense"
+            );
+            assert!(got.validate().is_ok(), "{ty} case {case}: claimed props unsound");
+        }
+    }
+    // Encoded tails ride through the positional gather unchanged.
+    for ty in [AtomType::Str, AtomType::Int, AtomType::Date] {
+        let n = rng.gen_range(24..64usize);
+        let (et, rt) = encoded_pair(&mut rng, ty, n, false);
+        let head = Column::from_oids((40..40 + n as u64).collect());
+        let dense = Props::new(ColProps::DENSE, ColProps::NONE);
+        let eb = Bat::with_props(head.clone(), et, dense);
+        let rb = Bat::with_props(head, rt, dense);
+        let cd = oid_map(&mut rng, 30, 30, 110).mirror();
+        let g = ops::semijoin(&ctx, &eb, &cd).unwrap();
+        let e = ops::semijoin(&ctx, &rb, &cd).unwrap();
+        let algos: Vec<_> = ctx.take_trace().iter().map(|t| t.algo).collect();
+        assert_eq!(algos, ["dense", "dense"], "{ty}");
+        assert_eq!(rows_of(&g), rows_of(&e), "{ty}: encoded vs raw");
+        assert_eq!(rows_of(&e), rows_of(&reference::semijoin(&rb, &cd)), "{ty}");
+    }
+}

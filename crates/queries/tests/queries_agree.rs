@@ -273,3 +273,22 @@ fn queries_stable_across_runs() {
     let b = (q3.run_moa)(&cat, &ctx, &params).unwrap();
     assert!(a.approx_eq(&b, 0.0));
 }
+
+#[test]
+fn q9_item_attribute_joins_fetch_through_datavectors() {
+    // Q9 joins its item selection with four tail-sorted Item attribute
+    // BATs. Their heads are no longer dense, but each carries a datavector
+    // over the dense Item extent, so every such join is a positional fetch.
+    let w = bench_world();
+    let q = tpcd_queries::q06_10::q9_moa(&w.params);
+    let t = moa::translate::translate(&w.cat, &q).unwrap();
+    let (_, env) = t.run(&ExecCtx::new().with_trace(), w.cat.db()).unwrap();
+    for attr in ["supplier", "extendedprice", "discount", "quantity"] {
+        let call = format!("join(lmap, Item_{attr})");
+        // The raw emission (`FLATALG_OPT=0`) runs some of them twice.
+        let algos: Vec<_> =
+            env.trace().iter().filter(|s| s.rendered.contains(&call)).map(|s| s.algo).collect();
+        assert!(!algos.is_empty(), "Q9 should run `{call}`");
+        assert!(algos.iter().all(|&a| a == "fetch"), "`{call}` ran as {algos:?}");
+    }
+}
