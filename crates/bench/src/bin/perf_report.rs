@@ -296,6 +296,33 @@ fn main() {
     );
     let dense_sel = Bat::new(with_dv.head().slice(0, n / 20), Column::void(0, n / 20));
 
+    // Oid keys indexed by position. Q3's `join(Item_order, <selection>)`:
+    // an FK probe of n rows into a selection of ~n/20 of the n/4 order oids
+    // (a direct table over that span), and Q9's `[=]` over two oid tails
+    // whose heads hold the same oids, one ascending and one scattered.
+    // Own generator, so the inputs drawn after these stay as they were.
+    let mut r2 = StdRng::seed_from_u64(43);
+    let orders = (n / 4) as u64;
+    let fk_probe = Bat::new(
+        head.clone(),
+        Column::from_oids((0..n).map(|_| 5000 + r2.gen_range(0..orders)).collect()),
+    );
+    let order_sel = {
+        let mut oids: Vec<u64> =
+            (0..orders).filter(|_| r2.gen_range(0..5) == 0).map(|o| 5000 + o).collect();
+        for i in (1..oids.len()).rev() {
+            oids.swap(i, r2.gen_range(0..=i));
+        }
+        let k = oids.len();
+        Bat::new(Column::from_oids(oids), Column::from_ints((0..k as i32).collect()))
+    };
+    let mut oid_tail = || Column::from_oids((0..n).map(|_| r2.gen_range(0..1000u64)).collect());
+    let eq_left = Bat::new(head.clone(), oid_tail());
+    let eq_right = Bat::new(
+        Column::from_oids((0..n as u64).map(|i| (i * 7919) % n as u64).collect()),
+        oid_tail(),
+    );
+
     // --- group_aggregate group inputs ------------------------------------
     let unsorted_keys = Bat::new(
         head.clone(),
@@ -409,6 +436,17 @@ fn main() {
     }));
     recs.push(measure(base.as_ref(), "join/fetch-datavector", n, || {
         ops::join(&ctx, &dv_left, &with_dv).unwrap();
+    }));
+    recs.push(measure(base.as_ref(), "join/direct-oid", n, || {
+        ops::join(&ctx, &fk_probe, &order_sel).unwrap();
+    }));
+    recs.push(measure(base.as_ref(), "multiplex/eq-oid-aligned", n, || {
+        ops::multiplex(
+            &ctx,
+            ops::ScalarFunc::Eq,
+            &[ops::MultArg::Bat(eq_left.clone()), ops::MultArg::Bat(eq_right.clone())],
+        )
+        .unwrap();
     }));
 
     // group_aggregate group

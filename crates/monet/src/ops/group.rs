@@ -251,7 +251,8 @@ pub fn group1(ctx: &ExecCtx, ab: &Bat) -> Result<Bat> {
 /// o_bd = unique_oid(b, d)}`. `AB` is typically the group BAT of a previous
 /// `group` and `CD` the next grouping attribute. The fast path requires the
 /// operands to be synced; otherwise `CD` must have a key head and is
-/// aligned by hash.
+/// aligned through a [`crate::accel::hash::KeyIndex`] over its head (a
+/// direct table for narrow oid heads, else a hash table).
 pub fn group2(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     ctx.probe("op/group")?;
     let started = Instant::now();
@@ -264,15 +265,13 @@ pub fn group2(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     let (align, algo): (Vec<u32>, &'static str) = if ab.synced(cd) {
         ((0..ab.len() as u32).collect(), "sync")
     } else {
-        let idx = crate::accel::hash::HashIndex::build(cd.head());
+        let idx = crate::accel::hash::KeyIndex::on_head(cd, ab.len());
         let align: std::result::Result<Vec<u32>, usize> =
             crate::for_each_typed2!(ab.head(), cd.head(), |ah, ch| {
                 'align: {
                     let mut align = Vec::with_capacity(ab.len());
                     for i in 0..ah.len() {
-                        let v = ah.value(i);
-                        let h = ah.hash_one(v);
-                        match idx.candidates(h).find(|&p| ch.eq_one(ch.value(p), v)) {
+                        match idx.matches(ah, ch, ah.value(i)).next() {
                             Some(p) => align.push(p as u32),
                             None => break 'align Err(i),
                         }

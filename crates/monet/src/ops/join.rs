@@ -11,12 +11,16 @@
 //!   most one match per left BUN, in left order;
 //! * `merge` — left tail and right head sorted: linear merge with
 //!   duplicate-group cross products;
-//! * `hash` — general fallback, building (or reusing) a hash table on the
-//!   right head.
+//! * `hash` — general fallback, indexing the right head through
+//!   [`KeyIndex`]: a persistent accelerator when present, a direct table
+//!   (`first[v - lo]`) over oid keys of narrow span such as a selection of
+//!   a class extent, or a chained hash table. The direct table yields the
+//!   same candidates in the same order, so the label stays `hash`.
 
 use std::time::Instant;
 
 use crate::accel::datavector::Datavector;
+use crate::accel::hash::KeyIndex;
 use crate::atom::Oid;
 use crate::bat::Bat;
 use crate::column::Column;
@@ -237,31 +241,25 @@ fn join_merge(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
     build_join(ctx, ab, cd, &left_idx, &right_idx)
 }
 
-/// Hash join: build on right head (reusing a persistent accelerator when
-/// present), probe left tails in order.
+/// Hash join: index the right head ([`KeyIndex::on_head`]: a persistent
+/// accelerator, a direct table over narrow oid keys, or a chained table),
+/// probe left tails in order.
 pub fn join_hash(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
     if let Some(p) = ctx.pager.as_deref() {
         pager::touch_scan(p, cd.head());
         pager::touch_scan(p, ab.tail());
     }
-    let rindex =
-        cd.accel().head_hash.clone().unwrap_or_else(|| {
-            std::sync::Arc::new(crate::accel::hash::HashIndex::build(cd.head()))
-        });
+    let rindex = KeyIndex::on_head(cd, ab.len());
     let (left_idx, right_idx) = crate::for_each_typed2!(ab.tail(), cd.head(), |bt, ch| {
         let mut left_idx: Vec<u32> = Vec::with_capacity(ab.len());
         let mut right_idx: Vec<u32> = Vec::with_capacity(ab.len());
         for i in 0..bt.len() {
-            let v = bt.value(i);
-            let h = bt.hash_one(v);
             // Chains iterate newest-first; collect then reverse for stable
             // order.
             let start = right_idx.len();
-            for p in rindex.candidates(h) {
-                if ch.eq_one(ch.value(p), v) {
-                    left_idx.push(i as u32);
-                    right_idx.push(p as u32);
-                }
+            for p in rindex.matches(bt, ch, bt.value(i)) {
+                left_idx.push(i as u32);
+                right_idx.push(p as u32);
             }
             right_idx[start..].reverse();
         }

@@ -11,15 +11,23 @@
 //! When all BAT arguments are synced the kernel uses the positional fast
 //! path ("the two multiplex operations can be executed very efficiently,
 //! since the kernel knows that the BATs are synced" — Section 6.2.1). The
-//! synced numeric/date/bool/string shapes used by the TPC-D plans (Q1-Q15)
-//! run as monomorphized slice loops — e.g. both halves of the
+//! synced numeric/date/oid/bool/string shapes used by the TPC-D plans
+//! (Q1-Q15) run as monomorphized slice loops — e.g. both halves of the
 //! `(1-discount)*extendedprice` revenue expression compile to straight-line
-//! `f64` kernels; only mixed or unsynced argument shapes fall back to the
-//! generic row-at-a-time `AtomValue` path.
+//! `f64` kernels; only mixed argument shapes fall back to the generic
+//! row-at-a-time `AtomValue` path.
+//!
+//! Unsynced arguments (label `hash-align`) are first aligned to the first
+//! BAT's head, each once through a [`KeyIndex`] (a direct table over narrow
+//! oid heads, else a hash table). Rows without a counterpart are dropped,
+//! the tails gathered, and the now-synced tails take the same typed,
+//! morsel-parallel path. On a full match the result shares the first BAT's
+//! head, so it stays synced with it.
 
 use std::time::Instant;
 
-use crate::atom::{AtomType, AtomValue};
+use crate::accel::hash::KeyIndex;
+use crate::atom::{AtomType, AtomValue, Oid};
 use crate::bat::Bat;
 use crate::column::Column;
 use crate::ctx::ExecCtx;
@@ -239,7 +247,7 @@ pub fn multiplex(ctx: &ExecCtx, f: ScalarFunc, args: &[MultArg]) -> Result<Bat> 
     let first = bats[0];
     let all_synced = bats.iter().all(|b| first.synced(b));
     let (result, algo) = if all_synced {
-        (mux_synced(ctx, f, first, args)?, "sync")
+        (mux_synced(ctx, f, first.head(), first.props().head, args)?, "sync")
     } else {
         (mux_aligned(ctx, f, first, args)?, "hash-align")
     };
@@ -277,9 +285,16 @@ impl TailArg {
     }
 }
 
-/// Positional fast path: all BAT args share the first BAT's head.
-fn mux_synced(ctx: &ExecCtx, f: ScalarFunc, first: &Bat, args: &[MultArg]) -> Result<Bat> {
-    let n = first.len();
+/// Positional fast path: all BAT args share `head`, whose properties
+/// (`head_props`) the result keeps.
+fn mux_synced(
+    ctx: &ExecCtx,
+    f: ScalarFunc,
+    head: &Column,
+    head_props: ColProps,
+    args: &[MultArg],
+) -> Result<Bat> {
+    let n = head.len();
     let tails = TailArg::of(args);
     let threads = super::par_threads(ctx, n);
     // The fast-path shapes are decided by argument *types*, so probing a
@@ -295,17 +310,13 @@ fn mux_synced(ctx: &ExecCtx, f: ScalarFunc, first: &Bat, args: &[MultArg]) -> Re
         // scan, which stops at the earliest failing row's morsel).
         let cols = parts.into_iter().collect::<Result<Vec<Column>>>()?;
         return Ok(Bat::with_props(
-            first.head().clone(),
+            head.clone(),
             Column::concat_all(&cols),
-            Props::new(first.props().head, ColProps::NONE),
+            Props::new(head_props, ColProps::NONE),
         ));
     }
     if let Some(col) = typed_fast_path(f, &tails, n)? {
-        return Ok(Bat::with_props(
-            first.head().clone(),
-            col,
-            Props::new(first.props().head, ColProps::NONE),
-        ));
+        return Ok(Bat::with_props(head.clone(), col, Props::new(head_props, ColProps::NONE)));
     }
     let mut out: Vec<AtomValue> = Vec::with_capacity(n);
     let mut scratch: Vec<AtomValue> = Vec::with_capacity(args.len());
@@ -321,61 +332,72 @@ fn mux_synced(ctx: &ExecCtx, f: ScalarFunc, first: &Bat, args: &[MultArg]) -> Re
     }
     let ty = out.first().map(AtomValue::atom_type).unwrap_or(result_type_hint(f, args));
     Ok(Bat::with_props(
-        first.head().clone(),
+        head.clone(),
         Column::from_atoms(ty, out),
-        Props::new(first.props().head, ColProps::NONE),
+        Props::new(head_props, ColProps::NONE),
     ))
 }
 
 /// General path: natural join on heads. Every non-driver BAT must have a
 /// key head; driver BUNs with no counterpart in some argument are dropped
-/// (inner-join semantics).
-fn mux_aligned(_ctx: &ExecCtx, f: ScalarFunc, first: &Bat, args: &[MultArg]) -> Result<Bat> {
-    // Build a lookup per non-first BAT argument.
-    struct Aligned {
-        index: crate::accel::hash::HashIndex,
-    }
-    let mut lookups: Vec<Option<Aligned>> = Vec::with_capacity(args.len());
-    for a in args {
-        match a {
-            MultArg::Bat(b) if !first.synced(b) => lookups
-                .push(Some(Aligned { index: crate::accel::hash::HashIndex::build(b.head()) })),
-            _ => lookups.push(None),
-        }
-    }
-    let mut keep: Vec<u32> = Vec::with_capacity(first.len());
-    let mut out: Vec<AtomValue> = Vec::with_capacity(first.len());
-    let mut scratch: Vec<AtomValue> = Vec::with_capacity(args.len());
+/// (inner-join semantics). Each unsynced argument is aligned to the driver
+/// head once through a [`KeyIndex`], the driver rows every argument
+/// matches are kept, and the gathered (now synced) tails run through
+/// [`mux_synced`]. On a full match the result shares the driver's head.
+fn mux_aligned(ctx: &ExecCtx, f: ScalarFunc, first: &Bat, args: &[MultArg]) -> Result<Bat> {
+    use crate::typed::TypedVals;
     let fh = first.head();
-    'row: for i in 0..first.len() {
-        scratch.clear();
-        for (a, l) in args.iter().zip(&lookups) {
-            match (a, l) {
-                (MultArg::Const(v), _) => scratch.push(v.clone()),
-                (MultArg::Bat(b), None) => scratch.push(b.tail().get(i)),
-                (MultArg::Bat(b), Some(al)) => {
-                    let h = fh.hash_at(i);
-                    match al.index.candidates(h).find(|&p| b.head().eq_at(p, fh, i)) {
-                        Some(p) => scratch.push(b.tail().get(p)),
-                        None => continue 'row,
-                    }
-                }
+    let n = first.len();
+    // Per argument: the row of an unsynced BAT that each driver row aligns
+    // with (`None` for constants and synced BATs).
+    let mut aligns: Vec<Option<Vec<u32>>> = Vec::with_capacity(args.len());
+    let mut matched = vec![true; n];
+    for a in args {
+        let b = match a {
+            MultArg::Bat(b) if !first.synced(b) => b,
+            _ => {
+                aligns.push(None);
+                continue;
             }
-        }
-        keep.push(i as u32);
-        out.push(apply_scalar(f, &scratch)?);
+        };
+        super::check_comparable("multiplex", fh.atom_type(), b.head().atom_type())?;
+        let index = KeyIndex::on_head(b, n);
+        let align = crate::for_each_typed2!(fh, b.head(), |dh, bh| {
+            let mut align: Vec<u32> = Vec::with_capacity(n);
+            for (i, m) in matched.iter_mut().enumerate() {
+                let p = index.matches(dh, bh, dh.value(i)).next();
+                *m &= p.is_some();
+                align.push(p.map_or(u32::MAX, |p| p as u32));
+            }
+            align
+        });
+        aligns.push(Some(align));
     }
-    let ty = out.first().map(AtomValue::atom_type).unwrap_or(result_type_hint(f, args));
-    let head = fh.gather(&keep);
-    let p = first.props();
-    Ok(Bat::with_props(
-        head,
-        Column::from_atoms(ty, out),
-        Props::new(
-            ColProps { sorted: p.head.sorted, key: p.head.key, dense: false, ..ColProps::NONE },
-            ColProps::NONE,
-        ),
-    ))
+    let keep: Vec<u32> = (0..n as u32).filter(|&i| matched[i as usize]).collect();
+    let full = keep.len() == n;
+    let head = if full { fh.clone() } else { fh.gather(&keep) };
+    let synced: Vec<MultArg> = args
+        .iter()
+        .zip(aligns)
+        .map(|(a, align)| match (a, align) {
+            (MultArg::Const(v), _) => MultArg::Const(v.clone()),
+            (MultArg::Bat(b), None) if full => MultArg::Bat(b.clone()),
+            (MultArg::Bat(b), None) => MultArg::Bat(Bat::new(head.clone(), b.tail().gather(&keep))),
+            (MultArg::Bat(b), Some(mut align)) => {
+                if !full {
+                    let mut i = 0;
+                    align.retain(|_| {
+                        i += 1;
+                        matched[i - 1]
+                    });
+                }
+                MultArg::Bat(Bat::new(head.clone(), b.tail().gather(&align)))
+            }
+        })
+        .collect();
+    let p = first.props().head;
+    let props = if full { p } else { ColProps { dense: false, ..p } };
+    mux_synced(ctx, f, &head, props, &synced)
 }
 
 /// Result type when the output is empty (so empty BATs still carry a
@@ -485,6 +507,14 @@ fn int_sc(a: &TailArg) -> Option<SC<'_, i32>> {
     match a {
         TailArg::Col(c) => c.as_int_slice().map(SC::S),
         TailArg::Const(AtomValue::Int(v)) => Some(SC::C(*v)),
+        _ => None,
+    }
+}
+
+fn oid_sc(a: &TailArg) -> Option<SC<'_, Oid>> {
+    match a {
+        TailArg::Col(c) => c.as_oid_slice().map(SC::S),
+        TailArg::Const(AtomValue::Oid(v)) => Some(SC::C(*v)),
         _ => None,
     }
 }
@@ -661,6 +691,9 @@ fn typed_fast_path(f: ScalarFunc, args: &[TailArg], n: usize) -> Result<Option<C
                 }))));
             }
             if let (Some(a), Some(b)) = (date_sc(&args[0]), date_sc(&args[1])) {
+                return Ok(Some(with_src2!(a, b, |x, y| cmp_col(f, n, x, y, |p, q| p.cmp(&q)))));
+            }
+            if let (Some(a), Some(b)) = (oid_sc(&args[0]), oid_sc(&args[1])) {
                 return Ok(Some(with_src2!(a, b, |x, y| cmp_col(f, n, x, y, |p, q| p.cmp(&q)))));
             }
             if let (Some(a), Some(b)) = (chr_sc(&args[0]), chr_sc(&args[1])) {

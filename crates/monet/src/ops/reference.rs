@@ -329,16 +329,7 @@ pub fn set_aggregate(f: AggFunc, ab: &Bat) -> Result<Bat> {
 /// Row-at-a-time synced multiplex: the original generic loop — a boxed
 /// `AtomValue` scratch vector and `apply_scalar` per row.
 pub fn multiplex_synced(f: ScalarFunc, args: &[MultArg]) -> Result<Bat> {
-    let first = args
-        .iter()
-        .find_map(|a| match a {
-            MultArg::Bat(b) => Some(b),
-            MultArg::Const(_) => None,
-        })
-        .ok_or_else(|| MonetError::Malformed {
-            op: "multiplex",
-            detail: "at least one BAT argument required".into(),
-        })?;
+    let first = driver(args)?;
     let n = first.len();
     let mut out: Vec<AtomValue> = Vec::with_capacity(n);
     let mut scratch: Vec<AtomValue> = Vec::with_capacity(args.len());
@@ -357,6 +348,51 @@ pub fn multiplex_synced(f: ScalarFunc, args: &[MultArg]) -> Result<Bat> {
         .map(AtomValue::atom_type)
         .unwrap_or_else(|| crate::ops::multiplex::result_type_hint(f, args));
     Ok(Bat::new(first.head().clone(), Column::from_atoms(ty, out)))
+}
+
+/// Row-wise multiplex over the natural join on heads. The driver is the
+/// first BAT argument; a BAT synced with it pairs by position, any other
+/// by its first row with an equal head (non-driver heads are key). Driver
+/// rows some argument has no row for are dropped.
+pub fn multiplex_aligned(f: ScalarFunc, args: &[MultArg]) -> Result<Bat> {
+    let first = driver(args)?;
+    let fh = first.head();
+    let mut keep: Vec<u32> = Vec::new();
+    let mut out: Vec<AtomValue> = Vec::new();
+    let mut scratch: Vec<AtomValue> = Vec::with_capacity(args.len());
+    'row: for i in 0..first.len() {
+        scratch.clear();
+        for a in args {
+            scratch.push(match a {
+                MultArg::Const(v) => v.clone(),
+                MultArg::Bat(b) if b.synced(first) => b.tail().get(i),
+                MultArg::Bat(b) => match (0..b.len()).find(|&j| b.head().eq_at(j, fh, i)) {
+                    Some(j) => b.tail().get(j),
+                    None => continue 'row,
+                },
+            });
+        }
+        keep.push(i as u32);
+        out.push(apply_scalar(f, &scratch)?);
+    }
+    let ty = out
+        .first()
+        .map(AtomValue::atom_type)
+        .unwrap_or_else(|| crate::ops::multiplex::result_type_hint(f, args));
+    Ok(Bat::new(fh.gather(&keep), Column::from_atoms(ty, out)))
+}
+
+/// The first BAT argument of a multiplex.
+fn driver(args: &[MultArg]) -> Result<&Bat> {
+    args.iter()
+        .find_map(|a| match a {
+            MultArg::Bat(b) => Some(b),
+            MultArg::Const(_) => None,
+        })
+        .ok_or_else(|| MonetError::Malformed {
+            op: "multiplex",
+            detail: "at least one BAT argument required".into(),
+        })
 }
 
 fn pair_eq(a: &Bat, i: usize, b: &Bat, j: usize) -> bool {

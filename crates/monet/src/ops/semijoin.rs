@@ -14,10 +14,17 @@
 //! * `dense` — the left head is a dense oid range (a class extent): mark
 //!   the right oids in a bitmap over that range, then take the marked
 //!   positions in ascending order — the same left-order output as `hash`;
-//! * `hash` — the general fallback.
+//! * `hash` — the general fallback, scanning the left heads in order
+//!   against the right heads. Oid right heads of narrow span (at most 64
+//!   bits per row) are marked in a pooled bitmap, sharing the marking loop
+//!   with `dense`; other heads probe a [`KeyIndex`] (a direct table over
+//!   narrow oid keys, or a hash table). `antijoin` keeps the complement
+//!   through the same probe.
 
 use std::time::Instant;
 
+use crate::accel::hash::{oid_bounds, KeyIndex};
+use crate::atom::Oid;
 use crate::bat::Bat;
 use crate::ctx::ExecCtx;
 use crate::error::Result;
@@ -56,8 +63,11 @@ pub fn antijoin(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     check_comparable("antijoin", ab.head().atom_type(), cd.head().atom_type())?;
     let started = Instant::now();
     let faults0 = ctx.faults();
-    let (result, algo) =
-        if ab.synced(cd) { (ab.slice(0, 0), "sync") } else { (antijoin_hash(ctx, ab, cd), "hash") };
+    let (result, algo) = if ab.synced(cd) {
+        (ab.slice(0, 0), "sync")
+    } else {
+        (hash_filter(ctx, ab, cd, false), "hash")
+    };
     ctx.record("antijoin", algo, started, faults0, &result)?;
     Ok(result)
 }
@@ -123,15 +133,7 @@ fn semijoin_dense(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
     }
     let n = ab.len();
     let seq = if n == 0 { 0 } else { ab.head().oid_at(0) };
-    let mut bits = crate::typed::take_u64_zeroed(n.div_ceil(64));
-    crate::for_each_oidlike!(cd.head(), |ch| {
-        for j in 0..ch.len() {
-            let pos = ch.value(j).wrapping_sub(seq);
-            if pos < n as u64 {
-                bits[(pos / 64) as usize] |= 1 << (pos % 64);
-            }
-        }
-    });
+    let bits = mark_oids(cd.head(), seq, n);
     let mut idx = crate::typed::take_u32(cd.len().min(n));
     for (w, &word) in bits.iter().enumerate() {
         let mut word = word;
@@ -153,50 +155,71 @@ fn semijoin_dense(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
     out
 }
 
-/// Hash semijoin: hash the right heads, scan the left operand in order.
-fn semijoin_hash(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
-    if let Some(p) = ctx.pager.as_deref() {
-        pager::touch_scan(p, cd.head());
-        pager::touch_scan(p, ab.head());
-    }
-    let rindex =
-        cd.accel().head_hash.clone().unwrap_or_else(|| {
-            std::sync::Arc::new(crate::accel::hash::HashIndex::build(cd.head()))
-        });
-    let idx = crate::for_each_typed2!(ab.head(), cd.head(), |ah, ch| {
-        let mut idx: Vec<u32> = Vec::with_capacity(ab.len());
-        for i in 0..ah.len() {
-            let v = ah.value(i);
-            let h = ah.hash_one(v);
-            if rindex.candidates(h).any(|p| ch.eq_one(ch.value(p), v)) {
-                idx.push(i as u32);
+/// Bitmap over `lo..lo + span` (pooled scratch; return with `put_u64`)
+/// with the bit of every oid of `oids` inside that range set.
+fn mark_oids(oids: &crate::column::Column, lo: Oid, span: usize) -> Vec<u64> {
+    let mut bits = crate::typed::take_u64_zeroed(span.div_ceil(64));
+    crate::for_each_oidlike!(oids, |t| {
+        for j in 0..t.len() {
+            let pos = t.value(j).wrapping_sub(lo);
+            if pos < span as u64 {
+                bits[(pos / 64) as usize] |= 1 << (pos % 64);
             }
         }
-        idx
     });
-    build_subset(ctx, ab, &idx)
+    bits
 }
 
-fn antijoin_hash(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
+/// Oid semijoin keys narrow enough for a bitmap: a span of at most this
+/// many bits per left and right row (8 bytes per row at most).
+const BITMAP_SPAN_PER_ROW: u64 = 64;
+
+/// Hash semijoin: index the right heads, scan the left operand in order.
+fn semijoin_hash(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
+    hash_filter(ctx, ab, cd, true)
+}
+
+/// The left BUNs whose head is (`keep`) or is not (`!keep`) among the
+/// right heads, in left order. Oid right heads of narrow span are marked
+/// in a bitmap and the left heads tested against it; everything else
+/// probes a [`KeyIndex`] over the right heads.
+fn hash_filter(ctx: &ExecCtx, ab: &Bat, cd: &Bat, keep: bool) -> Bat {
     if let Some(p) = ctx.pager.as_deref() {
         pager::touch_scan(p, cd.head());
         pager::touch_scan(p, ab.head());
     }
-    let rindex =
-        cd.accel().head_hash.clone().unwrap_or_else(|| {
-            std::sync::Arc::new(crate::accel::hash::HashIndex::build(cd.head()))
-        });
-    let idx = crate::for_each_typed2!(ab.head(), cd.head(), |ah, ch| {
-        let mut idx: Vec<u32> = Vec::with_capacity(ab.len());
-        for i in 0..ah.len() {
-            let v = ah.value(i);
-            let h = ah.hash_one(v);
-            if !rindex.candidates(h).any(|p| ch.eq_one(ch.value(p), v)) {
-                idx.push(i as u32);
+    let rows = (ab.len() + cd.len()) as u64;
+    let narrow = oid_bounds(cd.head())
+        .filter(|&(lo, hi)| cd.accel().head_hash.is_none() && hi - lo < BITMAP_SPAN_PER_ROW * rows);
+    let idx = if let Some((lo, hi)) = narrow {
+        let span = (hi - lo) as usize + 1;
+        let bits = mark_oids(cd.head(), lo, span);
+        let idx = crate::for_each_oidlike!(ab.head(), |ah| {
+            let mut idx: Vec<u32> = Vec::with_capacity(ab.len());
+            for i in 0..ah.len() {
+                let pos = ah.value(i).wrapping_sub(lo);
+                let hit = pos < span as u64 && bits[(pos / 64) as usize] & (1 << (pos % 64)) != 0;
+                if hit == keep {
+                    idx.push(i as u32);
+                }
             }
-        }
+            idx
+        });
+        crate::typed::put_u64(bits);
         idx
-    });
+    } else {
+        let rindex = KeyIndex::on_head(cd, ab.len());
+        crate::for_each_typed2!(ab.head(), cd.head(), |ah, ch| {
+            let mut idx: Vec<u32> = Vec::with_capacity(ab.len());
+            for i in 0..ah.len() {
+                let hit = rindex.matches(ah, ch, ah.value(i)).next().is_some();
+                if hit == keep {
+                    idx.push(i as u32);
+                }
+            }
+            idx
+        })
+    };
     build_subset(ctx, ab, &idx)
 }
 

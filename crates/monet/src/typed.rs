@@ -97,6 +97,14 @@ pub trait TypedVals: Copy {
     /// [`Column::cmp_val`]. Panics on incomparable types — operators have
     /// already type-checked their arguments.
     fn cmp_atom(&self, v: Self::Elem, atom: &AtomValue) -> Ordering;
+
+    /// The element as an oid key: `Some` exactly for oid-like windows
+    /// (`oid`, `void`). Lets generic probe loops index a direct table
+    /// ([`crate::accel::hash::KeyIndex`]) by value.
+    #[inline]
+    fn as_oid(&self, _v: Self::Elem) -> Option<Oid> {
+        None
+    }
 }
 
 /// The virtual dense sequence (`void` columns): value at `i` is `seq + i`.
@@ -137,11 +145,16 @@ impl TypedVals for VoidVals {
             None => panic!("cmp_atom: oid column vs {} constant", atom.atom_type()),
         }
     }
+
+    #[inline]
+    fn as_oid(&self, v: Oid) -> Option<Oid> {
+        Some(v)
+    }
 }
 
 macro_rules! impl_fixed_vals {
     ($ty:ty, |$v:ident| $hash:expr, |$a:ident, $b:ident| $cmp:expr,
-     |$x:ident, $atom:ident| $cmp_atom:expr) => {
+     |$x:ident, $atom:ident| $cmp_atom:expr $(, as_oid: |$o:ident| $as_oid:expr)?) => {
         impl<'a> TypedVals for &'a [$ty] {
             type Elem = $ty;
 
@@ -169,14 +182,27 @@ macro_rules! impl_fixed_vals {
             fn cmp_atom(&self, $x: $ty, $atom: &AtomValue) -> Ordering {
                 $cmp_atom
             }
+
+            $(
+                #[inline]
+                fn as_oid(&self, $o: $ty) -> Option<Oid> {
+                    $as_oid
+                }
+            )?
         }
     };
 }
 
-impl_fixed_vals!(Oid, |v| fxhash64(v), |a, b| a.cmp(&b), |x, atom| match atom.as_oid() {
-    Some(o) => x.cmp(&o),
-    None => panic!("cmp_atom: oid column vs {} constant", atom.atom_type()),
-});
+impl_fixed_vals!(
+    Oid,
+    |v| fxhash64(v),
+    |a, b| a.cmp(&b),
+    |x, atom| match atom.as_oid() {
+        Some(o) => x.cmp(&o),
+        None => panic!("cmp_atom: oid column vs {} constant", atom.atom_type()),
+    },
+    as_oid: |v| Some(v)
+);
 
 impl_fixed_vals!(bool, |v| fxhash64(v as u64), |a, b| a.cmp(&b), |x, atom| match atom {
     AtomValue::Bool(b) => x.cmp(b),

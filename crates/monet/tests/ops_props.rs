@@ -1235,3 +1235,217 @@ fn dense_semijoin_matches_reference() {
         assert_eq!(rows_of(&e), rows_of(&reference::semijoin(&rb, &cd)), "{ty}");
     }
 }
+
+// ----------------------------------------------------------------------
+// Oid keys indexed by position: direct-table joins, bitmap semijoins,
+// aligned multiplexes and group2 alignment against the reference.
+// ----------------------------------------------------------------------
+
+use monet::accel::hash::KeyIndex;
+
+/// `n` oids drawn from `lo..lo + span`, as a materialized column (often an
+/// offset window), so duplicates are frequent when `span < n`.
+fn oids_in(rng: &mut StdRng, n: usize, lo: u64, span: u64) -> Column {
+    let pre = rng.gen_range(0..3usize);
+    let col = Column::from_oids((0..n + pre).map(|_| lo + rng.gen_range(0..span)).collect());
+    col.slice(pre, n)
+}
+
+/// The oids `lo..lo + n` in random order (a key head), materialized.
+fn shuffled_oids(rng: &mut StdRng, lo: u64, n: usize) -> Column {
+    let mut v: Vec<u64> = (lo..lo + n as u64).collect();
+    for i in (1..v.len()).rev() {
+        v.swap(i, rng.gen_range(0..=i));
+    }
+    Column::from_oids(v)
+}
+
+#[test]
+fn direct_table_join_matches_reference() {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x40);
+    let ctx = ExecCtx::new().with_trace();
+    for &ty in ALL_TYPES {
+        for case in 0..8 {
+            // Duplicate right oids (span below the row count), probes below,
+            // inside and above the span, and sometimes a void probe column.
+            let m = rng.gen_range(0..30usize);
+            let span = rng.gen_range(1..=m.max(1) as u64);
+            let lo = rng.gen_range(0..50u64);
+            let right = Bat::new(oids_in(&mut rng, m, lo, span), random_column(&mut rng, ty, m));
+            let n = rng.gen_range(0..40usize);
+            let probe = if rng.gen_bool(0.3) {
+                Column::void(lo.saturating_sub(3), n)
+            } else {
+                oids_in(&mut rng, n, lo.saturating_sub(4), span + 8)
+            };
+            let left = Bat::new(random_column(&mut rng, AtomType::Oid, n), probe);
+            if m > 0 {
+                let idx = KeyIndex::build(right.head(), n);
+                assert!(matches!(idx, KeyIndex::Direct(_)), "{ty} case {case}: layout");
+            }
+            let got = ops::join(&ctx, &left, &right).unwrap();
+            assert_eq!(ctx.take_trace()[0].algo, "hash", "{ty} case {case}");
+            assert_eq!(
+                rows_of(&got),
+                rows_of(&reference::join(&left, &right)),
+                "{ty} case {case}: direct-table join"
+            );
+            assert!(got.validate().is_ok(), "{ty} case {case}: claimed props unsound");
+        }
+    }
+    // A void right head indexes directly too (dispatch would fetch, so
+    // call the hash kernel itself), and u64::MAX probes miss cleanly.
+    for case in 0..8 {
+        let m = rng.gen_range(0..20usize);
+        let right = Bat::new(Column::void(10, m), random_column(&mut rng, AtomType::Int, m));
+        let mut probes: Vec<u64> = (0..30).map(|_| rng.gen_range(5..35u64)).collect();
+        probes.push(u64::MAX);
+        let left = Bat::new(Column::void(0, probes.len()), Column::from_oids(probes));
+        let got = ops::join::join_hash(&ctx, &left, &right);
+        assert_eq!(rows_of(&got), rows_of(&reference::join(&left, &right)), "void case {case}");
+    }
+    // Empty operands on either side.
+    let right = Bat::new(Column::from_oids(vec![4, 2, 4]), Column::from_ints(vec![1, 2, 3]));
+    let left = Bat::new(Column::from_oids(vec![9, 8]), Column::from_oids(vec![2, 4]));
+    assert_eq!(ops::join(&ctx, &left, &right.slice(0, 0)).unwrap().len(), 0);
+    assert_eq!(ops::join(&ctx, &left.slice(0, 0), &right).unwrap().len(), 0);
+    assert_eq!(ops::join(&ctx, &left, &right).unwrap().len(), 3);
+}
+
+#[test]
+fn bitmap_semijoin_and_antijoin_match_reference() {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x41);
+    let ctx = ExecCtx::new().with_trace();
+    for &ty in ALL_TYPES {
+        for case in 0..8 {
+            // Narrow spans take the bitmap; a stretched span (every oid
+            // times 1000) exceeds 64 bits per row and hashes instead.
+            let stretch = if case % 4 == 3 { 1000 } else { 1 };
+            let n = rng.gen_range(0..50usize);
+            let heads: Vec<u64> = (0..n).map(|_| rng.gen_range(0..40u64) * stretch).collect();
+            let ab = Bat::new(Column::from_oids(heads), random_column(&mut rng, ty, n));
+            let m = rng.gen_range(0..30usize);
+            let cd = if rng.gen_bool(0.2) {
+                Bat::new(random_column(&mut rng, AtomType::Int, m), Column::void(5, m)).mirror()
+            } else {
+                let oids: Vec<u64> = (0..m).map(|_| rng.gen_range(0..45u64) * stretch).collect();
+                Bat::new(Column::from_oids(oids), Column::void(0, m))
+            };
+            let semi = ops::semijoin(&ctx, &ab, &cd).unwrap();
+            let anti = ops::antijoin(&ctx, &ab, &cd).unwrap();
+            let algos: Vec<_> = ctx.take_trace().iter().map(|t| t.algo).collect();
+            assert_eq!(algos, ["hash", "hash"], "{ty} case {case}");
+            assert_eq!(
+                rows_of(&semi),
+                rows_of(&reference::semijoin(&ab, &cd)),
+                "{ty} case {case}: semijoin"
+            );
+            assert_eq!(
+                rows_of(&anti),
+                rows_of(&reference::antijoin(&ab, &cd)),
+                "{ty} case {case}: antijoin"
+            );
+            assert!(semi.validate().is_ok() && anti.validate().is_ok(), "{ty} case {case}");
+        }
+    }
+}
+
+#[test]
+fn aligned_multiplex_matches_reference() {
+    use ops::{MultArg, ScalarFunc as F};
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x42);
+    let ctx = ExecCtx::new().with_trace();
+    for &ty in ALL_TYPES {
+        let funcs: Vec<F> = match ty {
+            AtomType::Int | AtomType::Lng | AtomType::Dbl => vec![F::Add, F::Div, F::Eq, F::Lt],
+            AtomType::Bool => vec![F::And, F::Or, F::Eq],
+            _ => vec![F::Eq, F::Ne, F::Lt, F::Ge],
+        };
+        for case in 0..6 {
+            let n = rng.gen_range(0..40usize);
+            let x = Bat::new(shuffled_oids(&mut rng, 100, n), random_column(&mut rng, ty, n));
+            // Same oids in another order (full match), or a shifted range
+            // (partial match: driver rows at both ends drop).
+            let full = case % 2 == 0;
+            let lo = if full { 100 } else { 100 + rng.gen_range(0..4u64) };
+            let m = if full { n } else { n.saturating_sub(rng.gen_range(0..6usize)) };
+            let y = Bat::new(shuffled_oids(&mut rng, lo, m), random_column(&mut rng, ty, m));
+            let synced = Bat::new(x.head().clone(), random_column(&mut rng, ty, n));
+            for &f in &funcs {
+                for args in [
+                    vec![MultArg::Bat(x.clone()), MultArg::Bat(y.clone())],
+                    vec![MultArg::Bat(y.clone()), MultArg::Bat(x.clone())],
+                    vec![MultArg::Bat(synced.clone()), MultArg::Bat(y.clone())],
+                ] {
+                    let got = ops::multiplex(&ctx, f, &args);
+                    let expect = reference::multiplex_aligned(f, &args);
+                    let algo = ctx.take_trace().first().map(|t| t.algo);
+                    match (got, expect) {
+                        (Ok(g), Ok(e)) => {
+                            assert_eq!(algo, Some("hash-align"), "{ty} case {case} [{f:?}]");
+                            assert_eq!(rows_of(&g), rows_of(&e), "{ty} case {case} [{f:?}]");
+                            assert!(g.validate().is_ok(), "{ty} case {case}: props unsound");
+                            let MultArg::Bat(driver) = &args[0] else { unreachable!() };
+                            if g.len() == driver.len() {
+                                assert!(g.synced(driver), "{ty} case {case}: full match syncs");
+                            }
+                        }
+                        (Err(_), Err(_)) => {}
+                        (g, e) => panic!("{ty} case {case} [{f:?}]: {g:?} vs {e:?}"),
+                    }
+                }
+            }
+            // A constant and a synced third argument ride along.
+            if matches!(ty, AtomType::Int | AtomType::Lng | AtomType::Dbl) {
+                let args = [MultArg::Bat(x.clone()), MultArg::Const(random_value(&mut rng, ty))];
+                let args2 = [args[0].clone(), MultArg::Bat(y.clone())];
+                for a in [&args[..], &args2[..]] {
+                    let g = ops::multiplex(&ctx, F::Mul, a).unwrap();
+                    let e = reference::multiplex_aligned(F::Mul, a).unwrap();
+                    assert_eq!(rows_of(&g), rows_of(&e), "{ty} case {case}: [*] ride-along");
+                }
+                let _ = ctx.take_trace();
+            }
+        }
+    }
+}
+
+#[test]
+fn group2_over_unsynced_oid_heads_matches_reference() {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x43);
+    let ctx = ExecCtx::new().with_trace();
+    for &t1 in ALL_TYPES {
+        for &t2 in ALL_TYPES {
+            let n = rng.gen_range(1..30usize);
+            let ab = Bat::new(shuffled_oids(&mut rng, 7, n), random_column(&mut rng, t1, n));
+            // A key superset of ab's heads, in another order.
+            let m = n + rng.gen_range(0..5usize);
+            let cd = Bat::new(shuffled_oids(&mut rng, 7, m), random_column(&mut rng, t2, m));
+            let g = ops::group2(&ctx, &ab, &cd).unwrap();
+            assert_eq!(ctx.take_trace()[0].algo, "hash-align", "({t1}, {t2})");
+            let expect = reference::group2_gids(&ab, &cd).unwrap();
+            let mut map: HashMap<u64, u64> = HashMap::new();
+            let expect_canon: Vec<u64> = expect
+                .iter()
+                .map(|&g| {
+                    let next = map.len() as u64;
+                    *map.entry(g).or_insert(next)
+                })
+                .collect();
+            assert_eq!(canon_gids(g.tail()), expect_canon, "group2 ({t1}, {t2})");
+        }
+    }
+    // A missing counterpart names the first group-BAT row without one.
+    for case in 0..8 {
+        let n = rng.gen_range(2..30usize);
+        let ab =
+            Bat::new(shuffled_oids(&mut rng, 50, n), random_column(&mut rng, AtomType::Int, n));
+        let gone = 50 + rng.gen_range(0..n as u64);
+        let kept: Vec<u64> = (50..50 + n as u64).filter(|&o| o != gone).collect();
+        let cd = Bat::new(Column::from_oids(kept), Column::from_ints(vec![1; n - 1]));
+        let first_missing = (0..n).find(|&i| ab.head().oid_at(i) == gone).unwrap();
+        let err = ops::group2(&ctx, &ab, &cd).unwrap_err().to_string();
+        assert!(err.contains(&format!("position {first_missing} ")), "case {case}: {err}");
+        assert!(reference::group2_gids(&ab, &cd).is_err(), "case {case}");
+    }
+}

@@ -221,6 +221,51 @@ fn par_multiplex_bit_identical() {
     }
 }
 
+/// Aligned multiplex: the unsynced argument is aligned to the driver head
+/// once, then the gathered tails run the morsel-parallel synced kernel.
+/// Heads are key permutations of overlapping oid ranges, so some cases
+/// match fully (the result shares the driver head) and some drop rows.
+#[test]
+fn par_aligned_multiplex_bit_identical() {
+    use ops::{MultArg, ScalarFunc as F};
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x11);
+    let ctx = ExecCtx::new();
+    let shuffled = |rng: &mut StdRng, lo: u64, n: usize| {
+        let mut v: Vec<u64> = (lo..lo + n as u64).collect();
+        for i in (1..v.len()).rev() {
+            v.swap(i, rng.gen_range(0..=i));
+        }
+        Column::from_oids(v)
+    };
+    for case in 0..6 {
+        let n = rng.gen_range(0..350usize);
+        let shift = if case % 2 == 0 { 0 } else { rng.gen_range(1..9u64) };
+        for ty in [AtomType::Oid, AtomType::Int, AtomType::Dbl, AtomType::Date, AtomType::Str] {
+            let x = Bat::new(shuffled(&mut rng, 500, n), random_column(&mut rng, ty, n));
+            let y = Bat::new(shuffled(&mut rng, 500 + shift, n), random_column(&mut rng, ty, n));
+            let funcs = match ty {
+                AtomType::Int | AtomType::Dbl => vec![F::Add, F::Mul, F::Eq, F::Lt],
+                _ => vec![F::Eq, F::Ne, F::Ge],
+            };
+            for f in funcs {
+                let args = [MultArg::Bat(x.clone()), MultArg::Bat(y.clone())];
+                let expect = reference::multiplex_aligned(f, &args).unwrap();
+                let ser = serial(|| ops::multiplex(&ctx, f, &args)).unwrap();
+                assert_eq!(rows_of(&ser), rows_of(&expect), "[{f:?}] {ty} case {case}: serial");
+                for t in THREADS {
+                    let got = parallel(t, || ops::multiplex(&ctx, f, &args)).unwrap();
+                    assert_eq!(rows_of(&got), rows_of(&expect), "[{f:?}] {ty} case {case} t={t}");
+                    assert_eq!(
+                        got.synced(&x),
+                        shift == 0 || n == 0,
+                        "[{f:?}] {ty} case {case} t={t}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // partitioned join (build + probe per cluster)
 // ---------------------------------------------------------------------------
